@@ -16,7 +16,7 @@ from .channel import (AcousticEnvironment, EmpiricalPerTable, LinkBudget,
                       RsCode, TxParams, absorption_db_per_km, channel_gain,
                       css_bit_error, error_model_for_distance, marcum_q1,
                       noise_psd, per_coded, per_uncoded)
-from .errors import ConfigError, TableError
+from .errors import ConfigError, SolverError, TableError
 from .solver import (EPSILON, GameConfig, GameState, MixedStrategy,
                      StrategyTable, action_sets, build_payoff_matrix,
                      deployed_matrix, dummy_jammer_policy, export_table,

@@ -10,7 +10,7 @@ start with a '# config: {...}' comment echoing the effective scenario,
 then a header row; floats are written in shortest round-trip form.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error,
-4 table/config consistency error.
+4 table/config consistency error, 5 solver failure.
 """
 
 import argparse
@@ -24,7 +24,7 @@ from . import analysis, solver
 from .analysis import DEFAULT_SEED, SensitivitySpec
 from .channel import (AcousticEnvironment, EmpiricalPerTable, RsCode, TxParams,
                       error_model_for_distance)
-from .errors import ConfigError, TableError
+from .errors import ConfigError, SolverError, TableError
 from .solver import GameConfig, GameState
 
 __all__ = ["ScenarioConfig", "main"]
@@ -498,6 +498,9 @@ def main(argv=None):
     except TableError as exc:
         _log(f"table error: {exc}")
         return 4
+    except SolverError as exc:
+        _log(f"solver error: {exc}")
+        return 5
 
 
 if __name__ == "__main__":

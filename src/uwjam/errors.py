@@ -1,6 +1,6 @@
 """Error types shared across the package."""
 
-__all__ = ["ConfigError", "TableError"]
+__all__ = ["ConfigError", "SolverError", "TableError"]
 
 
 class ConfigError(ValueError):
@@ -10,3 +10,7 @@ class ConfigError(ValueError):
 class TableError(Exception):
     """A strategy table file is malformed, corrupt, or inconsistent
     with the configuration it is used with."""
+
+
+class SolverError(RuntimeError):
+    """The matrix-game simplex failed to converge."""

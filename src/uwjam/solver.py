@@ -12,7 +12,12 @@ strictly decreases it), with a rolling receding horizon: the strategy
 deployed at a state is the equilibrium of the matrix whose continuation
 values look gamma = horizon frames ahead. Since the game cannot outlast
 floor(b_t / k) further frames, horizon values are constant in gamma past
-that depth, which caps the work per state.
+that depth, which caps the work per state. Likewise the jammer cannot
+spend more than gamma(2k-1) quanta within gamma frames, so every b_j
+above that cap shares the stage matrix of the cap and takes its
+solution instead of being solved again. A frame costs at least k
+quanta, so the k levels qk .. qk+k-1 depend only on levels below qk and
+are solved as one block.
 
 Matrix games are solved as linear programs with a dense tableau simplex,
 batched over states: value = 1/max(1'q) with (M + shift) q <= 1, q >= 0.
@@ -23,14 +28,17 @@ cannot cycle. Identical inputs take identical pivot paths, which makes
 solves reproducible bit for bit.
 """
 
+import contextlib
 import hashlib
 import json
 import math
+import os
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TableError
+from .errors import ConfigError, SolverError, TableError
 from .subgame import SubgameParams, payoff_matrix, success_matrix
 
 __all__ = [
@@ -283,6 +291,9 @@ def build_payoff_matrix(state, config, continuation=None):
 
 _SIMPLEX_TOL = 1e-12
 _SIMPLEX_MAX_ITER = 5000
+# instances pivoted together: a chunk's tableau stays in cache between
+# rounds, which outweighs the per-round overhead of more, smaller loops
+_SIMPLEX_CHUNK = 1024
 
 
 def _minimax_batch(matrices):
@@ -296,57 +307,83 @@ def _minimax_batch(matrices):
     bounded. The column strategy is q scaled by the objective, the row
     strategy comes from the slack reduced costs (the LP duals), and
     value = 1/objective - shift.
+
+    Each instance is pivoted on its own, so its result does not depend
+    on what else is in the batch.
+
+    :raises SolverError: when an instance still improves after
+        _SIMPLEX_MAX_ITER pivots
     """
     M = np.ascontiguousarray(matrices, dtype=float)
     batch, m, n = M.shape
     shift = 1.0 - M.min(axis=(1, 2))
     nv = n + m
-    # tableau: [A | I | b_true | b_perturbed]; the perturbed column only
-    # drives the ratio test, breaking degenerate ties deterministically
-    D = np.empty((batch, m, nv + 2))
-    D[:, :, :n] = M + shift[:, None, None]
-    D[:, :, n:nv] = np.eye(m)
-    D[:, :, nv] = 1.0
-    D[:, :, nv + 1] = 1.0 + np.arange(1, m + 1) * 1e-7
-    z = np.zeros((batch, nv + 1))
-    z[:, :n] = 1.0
+    # tableau: m constraint rows [A | I | b_true | b_perturbed] and the
+    # objective row [reduced costs | -objective | unused]; the perturbed
+    # column only drives the ratio test, breaking degenerate ties
+    # deterministically
+    D = np.zeros((batch, m + 1, nv + 2))
+    D[:, :m, :n] = M + shift[:, None, None]
+    D[:, :m, n:nv] = np.eye(m)
+    D[:, :m, nv] = 1.0
+    D[:, :m, nv + 1] = 1.0 + np.arange(1, m + 1) * 1e-7
+    D[:, m, :n] = 1.0
     basis = np.tile(np.arange(n, n + m), (batch, 1))
-    active = np.arange(batch)
-    it = 0
-    while active.size:
-        it += 1
-        if it > _SIMPLEX_MAX_ITER:
-            raise RuntimeError(f"matrix-game simplex stalled on {active.size} instances")
-        can = z[active][:, :nv] > _SIMPLEX_TOL
-        improving = can.any(axis=1)
-        active = active[improving]
-        if not active.size:
-            break
-        a = active
-        can = z[a][:, :nv] > _SIMPLEX_TOL
-        j = can.argmax(axis=1)                      # Bland: lowest improving index
-        col = D[a, :, j]
-        rhs = D[a, :, nv + 1]
-        pos = col > _SIMPLEX_TOL
-        ratio = np.where(pos, rhs / np.where(pos, col, 1.0), np.inf)
-        rmin = ratio.min(axis=1)
-        tie = pos & (ratio <= rmin[:, None] * (1.0 + 1e-12))
-        key = np.where(tie, basis[a], np.iinfo(np.int64).max)
-        i = key.argmin(axis=1)                      # lowest basis var among ties
-        piv = D[a, i, :] / D[a, i, j][:, None]
-        enter_col = D[a, :, j].copy()
-        updated = D[a] - enter_col[:, :, None] * piv[:, None, :]
-        updated[np.arange(a.size), i, :] = piv
-        D[a] = updated
-        z[a] = z[a] - z[a, j][:, None] * piv[:, : nv + 1]
-        basis[a, i] = j
+    for start in range(0, batch, _SIMPLEX_CHUNK):
+        chunk = slice(start, start + _SIMPLEX_CHUNK)
+        _pivot_to_optimum(D[chunk], basis[chunk])
     q = np.zeros((batch, nv))
-    q[np.arange(batch)[:, None], basis] = np.clip(D[:, :, nv], 0.0, None)
-    objective = -z[:, nv]
+    q[np.arange(batch)[:, None], basis] = np.clip(D[:, :m, nv], 0.0, None)
+    objective = -D[:, m, nv]
     values = 1.0 / objective - shift
     col_strats = q[:, :n] / objective[:, None]
-    row_strats = np.clip(-z[:, n:nv], 0.0, None) / objective[:, None]
+    row_strats = np.clip(-D[:, m, n:nv], 0.0, None) / objective[:, None]
     return values, row_strats, col_strats
+
+
+def _pivot_to_optimum(D, basis):
+    """Run the simplex on tableaux D (B, m+1, nv+2) in place.
+
+    Entering columns follow Bland's rule (lowest improving index); the
+    ratio test runs on the perturbed right-hand side and breaks ties
+    toward the lowest basic variable.
+    """
+    m = D.shape[1] - 1
+    nv = D.shape[2] - 2
+    # Da, Ba: contiguous working copies of the instances that still have
+    # an improving column, pivoted in place; an instance goes back into
+    # D and basis once, when it finishes (at first Da is D itself)
+    Da, Ba = D, basis
+    idx = ar = np.arange(D.shape[0])
+    it = 0
+    while True:
+        can = Da[:, m, :nv] > _SIMPLEX_TOL
+        improving = can.any(axis=1)
+        if not improving.all():
+            done = ~improving
+            if Da is not D:
+                D[idx[done]] = Da[done]
+                basis[idx[done]] = Ba[done]
+            idx = idx[improving]
+            if not idx.size:
+                return
+            Da, Ba, can = Da[improving], Ba[improving], can[improving]
+            ar = np.arange(idx.size)
+        it += 1
+        if it > _SIMPLEX_MAX_ITER:
+            raise SolverError(f"matrix-game simplex stalled on {idx.size} instances")
+        j = can.argmax(axis=1)
+        col = Da[ar, :, j]
+        pc = col[:, :m]
+        pos = pc > _SIMPLEX_TOL
+        ratio = np.where(pos, Da[:, :m, nv + 1] / np.where(pos, pc, 1.0), np.inf)
+        rmin = ratio.min(axis=1)
+        tie = pos & (ratio <= rmin[:, None] * (1.0 + 1e-12))
+        i = np.where(tie, Ba, np.iinfo(np.int64).max).argmin(axis=1)
+        piv = Da[ar, i, :] / pc[ar, i][:, None]
+        Da -= col[:, :, None] * piv[:, None, :]
+        Da[ar, i, :] = piv
+        Ba[ar, i] = j
 
 
 def solve_matrix_game(matrix):
@@ -453,26 +490,63 @@ def deployed_matrix(table, state):
         continuation=lambda s: table.horizon_value(s, depth - 1))
 
 
-def _level_groups(k, b_j0):
-    """Column batches at one b_t level: all b_j sharing a jammer action
-    count are solved together; the 2k-1 truncated levels go singly."""
+def _level_blocks(k, b_t0):
+    """Ranges [lo, hi) of b_t levels solved together.
+
+    A frame spends at least k quanta, so levels qk .. qk+k-1 read only
+    levels below qk and share the lookahead depth b_t // k; from b_t = 2k
+    on they also share the transmitter's action count. Below 2k every
+    level has its own action count and forms a block alone.
+    """
+    blocks = [(b_t, b_t + 1) for b_t in range(k, min(2 * k, b_t0 + 1))]
+    blocks += [(lo, min(lo + k, b_t0 + 1)) for lo in range(2 * k, b_t0 + 1, k)]
+    return blocks
+
+
+def _column_groups(k, b_j0, g_store):
+    """Jammer-battery columns batched together, with their dedupe maps.
+
+    All b_j >= 2k-1 share the full jammer action count 2k and form one
+    group; each b_j < 2k-1 forms its own. With g frames of lookahead the
+    jammer can spend at most g(2k-1) quanta, so every b_j above that cap
+    has the same stage matrix as the cap itself, and only b_j <= cap is
+    solved at depth g.
+
+    :returns: list of (b_j slice, n, pair_depth, pair_bj, offsets,
+        expand); the stage games solved for lookahead depth g + 1 are
+        pairs offsets[g] .. offsets[g+1]-1, at continuation depth
+        pair_depth and jammer battery pair_bj, and expand[g, c] is the
+        pair whose solution column c of the slice takes at that depth
+    """
     full = 2 * k - 1
+    caps = full * np.arange(1, g_store + 1)
+    ranges = [(full, b_j0)] if b_j0 >= full else []
+    ranges += [(b_j, b_j) for b_j in range(min(full, b_j0 + 1))]
     groups = []
-    if b_j0 >= full:
-        groups.append((np.arange(full, b_j0 + 1), 2 * k))
-    for b_j in range(min(full, b_j0 + 1)):
-        groups.append((np.array([b_j]), b_j + 1))
+    for lo, hi in ranges:
+        counts = np.minimum(hi, caps) - lo + 1
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        pair_depth = np.repeat(np.arange(g_store), counts)
+        pair_bj = lo + np.arange(offsets[-1]) - offsets[pair_depth]
+        expand = offsets[:-1, None] + np.minimum(np.arange(hi - lo + 1),
+                                                 counts[:, None] - 1)
+        groups.append((slice(lo, hi + 1), min(lo + 1, 2 * k),
+                       pair_depth, pair_bj, offsets, expand))
     return groups
 
 
 def solve_full_game(config):
     """Backward-induction equilibrium over the whole battery grid.
 
-    Iterates b_t upward (frames strictly drain the transmitter), solving
-    every (gamma, b_j) matrix game of a level as one simplex batch. The
-    deployed strategy and value at a state are those of the
-    receding-horizon matrix; horizon values for all shallower gamma are
-    stored alongside.
+    Iterates b_t upward (frames strictly drain the transmitter) in blocks
+    of up to k levels that depend only on levels below the block (see
+    :func:`_level_blocks`). Each distinct (gamma, b_j) matrix game of a
+    block is solved once: jammer batteries above what the jammer can
+    spend within gamma frames take the solution at that cap (see
+    :func:`_column_groups`), and the games sharing a shape go to the
+    simplex as one batch. The deployed strategy and value at a state
+    are those of the receding-horizon matrix; horizon values for all
+    shallower gamma are stored alongside.
     """
     k = config.k
     b_t0, b_j0 = config.b_t0, config.b_j0
@@ -483,31 +557,32 @@ def solve_full_game(config):
     t_probs = np.zeros((b_t0 + 1, b_j0 + 1, k + 1))
     j_probs = np.zeros((b_t0 + 1, b_j0 + 1, 2 * k))
     values = np.zeros((b_t0 + 1, b_j0 + 1))
-    for b_t in range(k, b_t0 + 1):
-        m = min(2 * k, b_t) - k + 1
-        depth = min(g_store, b_t // k)
-        n_ts = np.arange(k, k + m)
-        succ_bt = b_t - n_ts
+    groups = _column_groups(k, b_j0, g_store)
+    for lo, hi in _level_blocks(k, b_t0):
+        levels = hi - lo
+        m = min(2 * k, lo) - k + 1
+        depth = min(g_store, lo // k)
+        succ_bt = np.arange(lo, hi)[:, None] - np.arange(k, k + m)
         alive = succ_bt >= k
         safe_bt = np.where(alive, succ_bt, k)
-        for b_js, n in _level_groups(k, b_j0):
-            cols = np.arange(n)
-            succ_bj = b_js[:, None] - cols[None, :]
-            cont = horizon_values[np.arange(depth)[:, None, None, None],
-                                  safe_bt[None, None, :, None],
+        for b_js, n, pair_depth, pair_bj, offsets, expand in groups:
+            pairs = offsets[depth]
+            succ_bj = pair_bj[:pairs, None] - np.arange(n)
+            cont = horizon_values[pair_depth[None, :pairs, None, None],
+                                  safe_bt[:, None, :, None],
                                   succ_bj[None, :, None, :]]
-            cont = np.where(alive[None, None, :, None], cont, 0.0)
-            stage = base[None, None, :m, :n] + lam * cont
+            cont = np.where(alive[:, None, :, None], cont, 0.0)
+            stage = base[:m, :n] + lam * cont
             vals, rows, colstrats = _minimax_batch(stage.reshape(-1, m, n))
-            vals = vals.reshape(depth, b_js.size)
-            rows = rows.reshape(depth, b_js.size, m)
-            colstrats = colstrats.reshape(depth, b_js.size, n)
-            horizon_values[1: depth + 1, b_t, b_js] = vals
+            vals = vals.reshape(levels, pairs)
+            by_depth = vals[:, expand[:depth]]          # (levels, depth, b_js)
+            horizon_values[1: depth + 1, lo:hi, b_js] = by_depth.transpose(1, 0, 2)
             if depth < g_store:
-                horizon_values[depth + 1:, b_t, b_js] = vals[depth - 1]
-            t_probs[b_t, b_js, :m] = rows[depth - 1]
-            j_probs[b_t, b_js, :n] = colstrats[depth - 1]
-            values[b_t, b_js] = vals[depth - 1]
+                horizon_values[depth + 1:, lo:hi, b_js] = by_depth[:, -1]
+            deployed = expand[depth - 1]
+            t_probs[lo:hi, b_js, :m] = rows.reshape(levels, pairs, m)[:, deployed]
+            j_probs[lo:hi, b_js, :n] = colstrats.reshape(levels, pairs, n)[:, deployed]
+            values[lo:hi, b_js] = by_depth[:, -1]
     return StrategyTable(config, t_probs, j_probs, values, horizon_values)
 
 
@@ -634,16 +709,20 @@ def fixed_policy_table(config, t_policy, j_policy):
 def _states_payload(table):
     k = table.config.k
     payload = []
-    for state in table.states():
-        n_t_count = min(2 * k, state.b_t) - k + 1
-        n_j_count = min(2 * k - 1, state.b_j) + 1
-        payload.append({
-            "b_t": state.b_t,
-            "b_j": state.b_j,
-            "strat_t": [float(p) for p in table.t_probs[state.b_t, state.b_j, :n_t_count]],
-            "strat_j": [float(p) for p in table.j_probs[state.b_t, state.b_j, :n_j_count]],
-            "value": float(table.values[state.b_t, state.b_j]),
-        })
+    for b_t in range(k, table.config.b_t0 + 1):
+        # tolist() gives the Python floats float() would; one level at a
+        # time keeps the unused zero entries from piling up
+        t_rows = table.t_probs[b_t, :, : min(2 * k, b_t) - k + 1].tolist()
+        j_rows = table.j_probs[b_t].tolist()
+        values = table.values[b_t].tolist()
+        for b_j, (strat_t, strat_j, value) in enumerate(zip(t_rows, j_rows, values)):
+            payload.append({
+                "b_t": b_t,
+                "b_j": b_j,
+                "strat_t": strat_t,
+                "strat_j": strat_j[: min(2 * k - 1, b_j) + 1],
+                "value": value,
+            })
     return payload
 
 
@@ -661,6 +740,9 @@ def export_table(table, path, meta=None):
 
     :param meta: optional JSON-serializable dict of caller context
         (for example the jammer distance a table was solved at)
+
+    The file is replaced in one step: a failed export leaves any earlier
+    file at path untouched and no partial file behind.
     """
     states = _states_payload(table)
     doc = {
@@ -674,16 +756,29 @@ def export_table(table, path, meta=None):
         meta = table.meta
     if meta is not None:
         doc["meta"] = meta
-    with open(path, "w") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-        fh.write("\n")
+    text = json.dumps(doc, separators=(",", ":"))
+    # write beside the target and rename over it, so a failed write
+    # leaves the previous file as it was
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex[:12]}.tmp")
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            fh.write(text)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_table(path):
     """Load a table written by :func:`export_table`.
 
     Raises :class:`TableError` on format or version mismatch, checksum
-    failure, or strategy rows that are not probability distributions.
+    failure, NaN or infinite entries, or strategy rows that are not
+    probability distributions.
     The loaded table carries deployed strategies and values only.
     """
     with open(path) as fh:
@@ -727,6 +822,9 @@ def load_table(path):
     expected = max(0, config.b_t0 - k + 1) * (config.b_j0 + 1)
     if seen != expected:
         raise TableError(f"{path}: {seen} states, expected {expected}")
+    for arr, label in ((values, "value"), (t_probs, "strat_t"), (j_probs, "strat_j")):
+        if not np.isfinite(arr).all():
+            raise TableError(f"{path}: {label} holds NaN or infinity")
     for probs, label in ((t_probs, "strat_t"), (j_probs, "strat_j")):
         sums = probs[k:, :, :].sum(axis=2)
         if (probs < 0.0).any() or (np.abs(sums - 1.0) > 1e-9).any():

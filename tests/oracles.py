@@ -1,8 +1,10 @@
 """Independent reference implementations the tests compare the package against.
 
 Everything here is deliberately dumb and slow: exhaustive enumeration,
-high-precision series, or an off-the-shelf LP. None of it shares code
-with the package internals.
+high-precision series, or an off-the-shelf LP. Only
+backward_induction_reference shares code with the package, the
+single-state matrix builder and single-game LP, because it checks how
+solve_full_game batches and dedupes those games, bit for bit.
 """
 
 import itertools
@@ -158,3 +160,39 @@ def frame_success_exhaustive(k, n_t, n_j, p_clear, p_blocked):
         total += pmf[k:].sum()
         count += 1
     return total / count
+
+
+def backward_induction_reference(config):
+    """Receding-horizon backward induction one state at a time.
+
+    Every (state, lookahead depth) pair gets its own
+    build_payoff_matrix and solve_matrix_game call: no jammer-battery
+    cap, no level blocks, no batching.
+
+    :returns: (horizon_values, t_probs, j_probs, values) laid out as in
+        StrategyTable
+    """
+    from uwjam.solver import GameState, build_payoff_matrix, solve_matrix_game
+
+    k = config.k
+    g_store = config.effective_horizon()
+    shape = (config.b_t0 + 1, config.b_j0 + 1)
+    horizon_values = np.zeros((g_store + 1,) + shape)
+    t_probs = np.zeros(shape + (k + 1,))
+    j_probs = np.zeros(shape + (2 * k,))
+    values = np.zeros(shape)
+    for b_t in range(k, config.b_t0 + 1):
+        depth = min(g_store, b_t // k)
+        for b_j in range(config.b_j0 + 1):
+            state = GameState(b_t, b_j)
+            for g in range(1, depth + 1):
+                mat = build_payoff_matrix(
+                    state, config,
+                    continuation=lambda s: horizon_values[g - 1, s.b_t, s.b_j])
+                v, x, y = solve_matrix_game(mat)
+                horizon_values[g, b_t, b_j] = v
+            horizon_values[depth + 1:, b_t, b_j] = v
+            t_probs[b_t, b_j, : x.size] = x
+            j_probs[b_t, b_j, : y.size] = y
+            values[b_t, b_j] = v
+    return horizon_values, t_probs, j_probs, values

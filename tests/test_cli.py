@@ -251,6 +251,13 @@ def test_exit_codes(tmp_path, tables_dir):
     assert main(["inspect-table", "--table", str(fake)]) == 4
 
 
+def test_solver_failure_exit_code(tmp_path, scenario, monkeypatch):
+    monkeypatch.setattr("uwjam.solver._SIMPLEX_MAX_ITER", 1)
+    out = tmp_path / "table.json"
+    assert main(["solve", "--config", scenario, "--d-jr", "60", "--out", str(out)]) == 5
+    assert not out.exists()
+
+
 def test_scenario_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict({"granularity": 5})

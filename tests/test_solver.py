@@ -3,11 +3,13 @@
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from uwjam.errors import ConfigError, TableError
+import uwjam.solver
+from uwjam.errors import ConfigError, SolverError, TableError
 from uwjam.solver import (
     EPSILON,
     GameConfig,
@@ -25,8 +27,9 @@ from uwjam.solver import (
     solve_matrix_game,
     solve_vs_fixed_jammer,
     transition_distribution,
+    _minimax_batch,
 )
-from uwjam.subgame import SubgameParams, subgame_payoff
+from uwjam.subgame import SubgameParams, payoff_matrix, subgame_payoff
 
 import oracles
 
@@ -108,6 +111,33 @@ def test_solver_input_validation():
 
 # ---------------------------------------------------------------------------
 # states, configs, strategies
+
+
+def test_batched_solves_match_single_solves_bit_for_bit():
+    rng = np.random.default_rng(11)
+    # saturated PERs and energy weights at their ends give degenerate,
+    # tie-ridden matrices
+    mats = [np.array(payoff_matrix(SubgameParams(k=2, alpha=alpha, p_clear=pc,
+                                                 p_blocked=pb)))
+            for alpha in (0.0, 0.5, 1.0)
+            for pc, pb in ((0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7))]
+    mats += [m + 0.9 * rng.integers(-2, 3, size=m.shape) for m in mats[:6]]
+    mats += [rng.normal(size=(3, 4)) for _ in range(12)]
+    mats += [np.full((3, 4), -1.5), mats[1], mats[4], mats[-1]]   # duplicates
+    batch = np.stack(mats)
+    alone = [_minimax_batch(m[None]) for m in mats]
+    for order in (np.arange(len(mats)), np.arange(len(mats))[::-1]):
+        together = _minimax_batch(batch[order])
+        for pos, b in enumerate(order):
+            for got, want in zip(together, alone[b]):
+                assert got[pos].tobytes() == want[0].tobytes(), b
+
+
+def test_simplex_stall_raises_solver_error(monkeypatch):
+    monkeypatch.setattr(uwjam.solver, "_SIMPLEX_MAX_ITER", 1)
+    with pytest.raises(SolverError, match="stalled"):
+        solve_matrix_game(np.array([[3.0, 0.0, 1.0], [0.0, 3.0, 1.0]]))
+    assert issubclass(SolverError, RuntimeError)
 
 
 def test_game_state_basics():
@@ -299,6 +329,62 @@ def test_unjammable_game_is_pure_minimum_send():
         assert st.prob_of(2) == pytest.approx(1.0, abs=1e-12), state
 
 
+@pytest.mark.parametrize("cfg", [
+    # b_j0 below, between and above the jammer's g(2k-1) spending caps
+    GameConfig(k=1, b_t0=9, b_j0=0, alpha=0.4, p_clear=0.1, p_blocked=0.7, horizon=3),
+    GameConfig(k=1, b_t0=9, b_j0=6, alpha=0.4, p_clear=0.1, p_blocked=0.7, horizon=3),
+    GameConfig(k=2, b_t0=11, b_j0=2, alpha=0.5, p_clear=0.0, p_blocked=1.0, horizon=4),
+    GameConfig(k=2, b_t0=11, b_j0=7, alpha=0.4, p_clear=0.1, p_blocked=0.7, horizon=4),
+    GameConfig(k=2, b_t0=11, b_j0=16, alpha=0.4, p_clear=0.1, p_blocked=0.7, horizon=4),
+    GameConfig(k=3, b_t0=13, b_j0=4, alpha=0.4, p_clear=0.05, p_blocked=0.6,
+               horizon=math.inf, discount=0.9),
+    GameConfig(k=3, b_t0=13, b_j0=12, alpha=1.0, p_clear=0.0, p_blocked=1.0,
+               horizon=math.inf, discount=0.9),
+    GameConfig(k=3, b_t0=13, b_j0=24, alpha=0.4, p_clear=0.05, p_blocked=0.6,
+               horizon=math.inf, discount=0.9),
+], ids=lambda c: f"k{c.k}-bj{c.b_j0}-h{c.horizon}")
+def test_solve_full_game_matches_per_state_reference(cfg):
+    table = solve_full_game(cfg)
+    want = oracles.backward_induction_reference(cfg)
+    got = (table.horizon_values, table.t_probs, table.j_probs, table.values)
+    for name, g, w in zip(("horizon_values", "t_probs", "j_probs", "values"), got, want):
+        assert np.array_equal(g, w), name
+        assert g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("cfg", [
+    GameConfig(k=3, b_t0=40, b_j0=60, alpha=0.4, p_clear=0.05, p_blocked=0.6, horizon=6),
+    GameConfig(k=2, b_t0=15, b_j0=2, alpha=0.4, p_clear=0.05, p_blocked=0.6, horizon=3),
+    GameConfig(k=4, b_t0=50, b_j0=40, alpha=0.4, p_clear=0.05, p_blocked=0.6,
+               horizon=math.inf, discount=0.9),
+], ids=lambda c: f"k{c.k}-bj{c.b_j0}")
+def test_solve_full_game_solves_each_capped_game_once(cfg, monkeypatch):
+    seen = {"calls": 0, "instances": 0}
+    real = uwjam.solver._minimax_batch
+
+    def counting(matrices):
+        seen["calls"] += 1
+        seen["instances"] += len(matrices)
+        return real(matrices)
+
+    monkeypatch.setattr(uwjam.solver, "_minimax_batch", counting)
+    solve_full_game(cfg)
+    k, full = cfg.k, 2 * cfg.k - 1
+    want = 0
+    for b_t in range(k, cfg.b_t0 + 1):
+        depth = min(cfg.effective_horizon(), b_t // k)
+        # truncated columns b_j < 2k-1 at every depth, then the full-width
+        # columns up to the jammer's spending cap g(2k-1) at depth g
+        want += depth * min(full, cfg.b_j0 + 1)
+        want += sum(max(0, min(cfg.b_j0, g * full) - full + 1) for g in range(1, depth + 1))
+    assert seen["instances"] == want
+    # one call per column group and level block: levels k .. 2k-1 alone,
+    # then blocks of k levels
+    blocks = k + len(range(2 * k, cfg.b_t0 + 1, k))
+    groups = min(full, cfg.b_j0 + 1) + (cfg.b_j0 >= full)
+    assert seen["calls"] == blocks * groups
+
+
 def test_table_state_bounds_checks(small_game):
     _, table = small_game
     with pytest.raises(ValueError):
@@ -448,3 +534,48 @@ def test_load_rejects_bad_distributions(tmp_path, small_game):
     bad.write_text(json.dumps(doc))
     with pytest.raises(TableError, match="distribution"):
         load_table(bad)
+
+
+def test_failed_export_keeps_previous_table(tmp_path, small_game, monkeypatch):
+    _, table = small_game
+    path = tmp_path / "table.json"
+    export_table(table, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        export_table(table, path, meta={"solved_by": object()})
+
+    def disk_full(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", disk_full)
+    with pytest.raises(OSError, match="no space"):
+        export_table(table, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    np.testing.assert_array_equal(load_table(path).values, table.values)
+    assert [p.name for p in tmp_path.iterdir()] == ["table.json"]
+
+
+@pytest.mark.parametrize("field, index, bad", [
+    ("value", None, math.nan),
+    ("strat_t", 0, math.nan),
+    ("strat_j", 1, math.inf),
+    ("value", None, -math.inf),
+])
+def test_load_rejects_non_finite_entries(tmp_path, small_game, field, index, bad):
+    _, table = small_game
+    path = tmp_path / "table.json"
+    export_table(table, path)
+    doc = json.loads(path.read_text())
+    rec = doc["states"][-1]
+    if index is None:
+        rec[field] = bad
+    else:
+        rec[field][index] = bad
+    # recompute the checksum so only the finiteness check can fire
+    payload = json.dumps(doc["states"], sort_keys=True,
+                         separators=(",", ":")).encode()
+    doc["checksum"] = hashlib.sha256(payload).hexdigest()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(TableError, match="NaN or infinity"):
+        load_table(path)
