@@ -17,12 +17,11 @@ from .channel import (AcousticEnvironment, EmpiricalPerTable, LinkBudget,
                       css_bit_error, error_model_for_distance, marcum_q1,
                       noise_psd, per_coded, per_uncoded)
 from .errors import ConfigError, SolverError, TableError
-from .solver import (EPSILON, GameConfig, GameState, MixedStrategy,
-                     StrategyTable, action_sets, build_payoff_matrix,
-                     deployed_matrix, dummy_jammer_policy, export_table,
+from .solver import (GameConfig, GameState, MixedStrategy, StrategyTable,
+                     action_sets, dummy_jammer_policy, export_table,
                      fixed_policy_table, is_terminal, load_table,
                      solve_full_game, solve_matrix_game,
-                     solve_vs_fixed_jammer, transition_distribution)
+                     solve_vs_fixed_jammer)
 from .subgame import (ActionPair, SubgameParams, blocked_count_distribution,
                       expected_success, payoff_matrix, subgame_payoff,
                       success_given_blocked, success_matrix)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .solver import is_terminal
+from .solver import _levels, _next_values, is_terminal
 from .subgame import SubgameParams, success_matrix
 
 __all__ = [
@@ -45,15 +45,21 @@ __all__ = [
 DEFAULT_SEED = 12345
 
 
-def _chi_for(table, error_pair):
+def _subgame_for(table, error_pair):
+    """Frame parameters of a table under a true error pair.
+
+    :param error_pair: (p_clear, p_blocked), or None for the pair the
+        table was solved with
+    :raises ValueError: on a PER outside [0, 1]
+    """
     cfg = table.config
-    if error_pair is None:
-        p_clear, p_blocked = cfg.p_clear, cfg.p_blocked
-    else:
-        p_clear, p_blocked = error_pair
-    params = SubgameParams(k=cfg.k, alpha=cfg.alpha,
-                           p_clear=p_clear, p_blocked=p_blocked)
-    return success_matrix(params), (p_clear, p_blocked)
+    p_clear, p_blocked = (cfg.p_clear, cfg.p_blocked) if error_pair is None else error_pair
+    return SubgameParams(k=cfg.k, alpha=cfg.alpha, p_clear=p_clear, p_blocked=p_blocked)
+
+
+def _chi_for(table, error_pair):
+    params = _subgame_for(table, error_pair)
+    return success_matrix(params), (params.p_clear, params.p_blocked)
 
 
 def _lifetime_map(table):
@@ -62,20 +68,11 @@ def _lifetime_map(table):
     if cached is not None:
         return cached
     cfg = table.config
-    k = cfg.k
     el = np.zeros((cfg.b_t0 + 1, cfg.b_j0 + 1))
-    b_js = np.arange(cfg.b_j0 + 1)
-    cols = np.arange(2 * k)
-    for b_t in range(k, cfg.b_t0 + 1):
-        m = min(2 * k, b_t) - k + 1
-        succ_bt = b_t - np.arange(k, k + m)
-        alive = succ_bt >= k
-        safe_bt = np.where(alive, succ_bt, k)
-        succ_bj = np.clip(b_js[:, None] - cols[None, :], 0, None)
-        nxt = el[safe_bt[None, :, None], succ_bj[:, None, :]]
-        nxt = np.where(alive[None, :, None], nxt, 0.0)
-        el[b_t, :] = 1.0 + np.einsum(
-            'bi,bj,bij->b', table.t_probs[b_t, :, :m], table.j_probs[b_t], nxt)
+    for lo, hi, m, safe_bt, alive in _levels(cfg.k, cfg.b_t0):
+        nxt = _next_values(el, cfg.k, safe_bt, alive)
+        el[lo:hi] = 1.0 + np.einsum(
+            'lbi,lbj,lbij->lb', table.t_probs[lo:hi, :, :m], table.j_probs[lo:hi], nxt)
     table._caches["lifetime"] = el
     return el
 
@@ -87,24 +84,14 @@ def _success_map(table, error_pair=None):
     if cached is not None:
         return cached
     cfg = table.config
-    k = cfg.k
     el = _lifetime_map(table)
     ps = np.zeros((cfg.b_t0 + 1, cfg.b_j0 + 1))
-    b_js = np.arange(cfg.b_j0 + 1)
-    cols = np.arange(2 * k)
-    for b_t in range(k, cfg.b_t0 + 1):
-        m = min(2 * k, b_t) - k + 1
-        succ_bt = b_t - np.arange(k, k + m)
-        alive = succ_bt >= k
-        safe_bt = np.where(alive, succ_bt, k)
-        succ_bj = np.clip(b_js[:, None] - cols[None, :], 0, None)
-        el_next = el[safe_bt[None, :, None], succ_bj[:, None, :]]
-        el_next = np.where(alive[None, :, None], el_next, 0.0)
-        ps_next = ps[safe_bt[None, :, None], succ_bj[:, None, :]]
-        ps_next = np.where(alive[None, :, None], ps_next, 0.0)
-        contrib = (chi[None, :m, :] + el_next * ps_next) / (1.0 + el_next)
-        ps[b_t, :] = np.einsum(
-            'bi,bj,bij->b', table.t_probs[b_t, :, :m], table.j_probs[b_t], contrib)
+    for lo, hi, m, safe_bt, alive in _levels(cfg.k, cfg.b_t0):
+        el_next = _next_values(el, cfg.k, safe_bt, alive)
+        ps_next = _next_values(ps, cfg.k, safe_bt, alive)
+        contrib = (chi[:m] + el_next * ps_next) / (1.0 + el_next)
+        ps[lo:hi] = np.einsum(
+            'lbi,lbj,lbij->lb', table.t_probs[lo:hi, :, :m], table.j_probs[lo:hi], contrib)
     table._caches[("success", pair)] = ps
     return ps
 
@@ -267,10 +254,8 @@ def simulate(table, runs, seed=DEFAULT_SEED, sigma=0.0, error_pair=None):
         raise ValueError("need at least one run")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    if error_pair is None:
-        base_clear, base_blocked = cfg.p_clear, cfg.p_blocked
-    else:
-        base_clear, base_blocked = error_pair
+    params = _subgame_for(table, error_pair)
+    base_clear, base_blocked = params.p_clear, params.p_blocked
     slots = 2 * k - 1
     # fixed draw budget per frame: 2 action picks, 2 slot permutations,
     # up to 2k packet coins

@@ -31,7 +31,6 @@ __all__ = [
     "noise_psd",
     "compute_link_budget",
     "marcum_q1",
-    "bessel_i0",
     "bessel_i0_scaled",
     "css_bit_error",
     "per_uncoded",
@@ -194,15 +193,6 @@ def compute_link_budget(env, tx, d_tr, d_jr=None):
         p_j = 10.0 ** (tx.power_j_db / 10.0)
         j0 = p_j * channel_gain(d_jr, env) / env.bandwidth_hz
     return LinkBudget(eb=eb, n0=n0, j0=j0)
-
-
-def bessel_i0(x):
-    """Modified Bessel function of the first kind, order zero."""
-    x = abs(x)
-    if x >= 709.0:
-        # exp(x) overflows; callers needing large x use the scaled form
-        raise OverflowError("bessel_i0 overflows for x >= 709, use bessel_i0_scaled")
-    return bessel_i0_scaled(x) * math.exp(x)
 
 
 def bessel_i0_scaled(x):

@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error,
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -198,11 +199,8 @@ def _load_scenario(args):
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{args.config}: invalid JSON: {exc}") from None
     cfg = ScenarioConfig.from_dict(data)
-    overrides = {}
-    for name in ("per_mode", "d_jr", "alpha", "horizon", "k", "b_t0", "b_j0"):
-        value = getattr(args, name.replace("-", "_"), None)
-        if value is not None:
-            overrides[name] = value
+    overrides = {name: value for name in ("per_mode", "d_jr", "alpha")
+                 if (value := getattr(args, name)) is not None}
     if overrides:
         cfg = cfg.replace(**overrides)
     return cfg
@@ -219,31 +217,36 @@ def _gamma_label(cfg):
     return "inf" if math.isinf(cfg.horizon) else int(cfg.horizon)
 
 
-def _report_row(cfg, d_jr, report, solve_model, true_model, sigma=None,
-                lifetime_ci=None, psucc_ci=None):
-    return {
-        "distance_m": d_jr,
-        "alpha": cfg.alpha,
-        "gamma": _gamma_label(cfg),
-        "lifetime": report.lifetime,
-        "lifetime_ci": lifetime_ci,
-        "psucc": report.success,
-        "psucc_ci": psucc_ci,
-        "sigma": sigma,
-        "solve_model": solve_model,
-        "true_model": true_model,
-        "psucc_first_frame": report.first_frame,
-    }
+def _report_row(cfg, d_jr, result, solve_model, true_model):
+    """REPORT_COLUMNS row from a closed-form AnalysisReport or a Monte
+    Carlo SimulationResult; columns the result has no value for stay
+    empty."""
+    row = {"distance_m": d_jr, "alpha": cfg.alpha, "gamma": _gamma_label(cfg),
+           "solve_model": solve_model, "true_model": true_model}
+    if isinstance(result, analysis.SimulationResult):
+        row.update(lifetime=result.mean_lifetime, lifetime_ci=result.lifetime_ci,
+                   psucc=result.success_rate, psucc_ci=result.success_ci,
+                   sigma=result.sigma)
+    else:
+        row.update(lifetime=result.lifetime, psucc=result.success,
+                   psucc_first_frame=result.first_frame)
+    return row
 
 
 def _verify_table(table, cfg):
     """Check a loaded table against the scenario before using it."""
-    meta = table.meta or {}
+    meta = table.meta if isinstance(table.meta, dict) else {}
     if "d_jr" not in meta:
         raise TableError("table carries no jammer distance metadata; "
                          "re-export it with the solve command")
+    d_jr = meta["d_jr"]
+    if (isinstance(d_jr, bool) or not isinstance(d_jr, (int, float))
+            or not math.isfinite(d_jr) or d_jr <= 0):
+        raise TableError(f"table metadata d_jr must be a positive distance, got {d_jr!r}")
     mode = meta.get("per_mode", cfg.per_mode)
-    expected = game_config_for(cfg, meta["d_jr"], mode)
+    if mode not in PER_MODES:
+        raise TableError(f"table metadata per_mode must be one of {PER_MODES}, got {mode!r}")
+    expected = game_config_for(cfg, d_jr, mode)
     if expected != table.config:
         diffs = []
         for f in fields(GameConfig):
@@ -252,7 +255,7 @@ def _verify_table(table, cfg):
             if a != b:
                 diffs.append(f"{f.name}: scenario {a!r} vs table {b!r}")
         raise TableError("table inconsistent with scenario config: " + "; ".join(diffs))
-    return meta["d_jr"], mode
+    return d_jr, mode
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +287,6 @@ def _cmd_solve(args):
     if args.sweep_all:
         if args.out_dir is None:
             raise ConfigError("--sweep requires --out-dir")
-        import os
         os.makedirs(args.out_dir, exist_ok=True)
         for d in cfg.sweep:
             table = _solve_one(cfg, d)
@@ -312,8 +314,7 @@ def _cmd_evaluate(args):
     entries.sort(key=lambda e: e[0])
     rows = []
     for d_jr, mode, table in entries:
-        report = analysis.analyze(table)
-        rows.append(_report_row(cfg, d_jr, report, solve_model=mode, true_model=mode))
+        rows.append(_report_row(cfg, d_jr, analysis.analyze(table), mode, mode))
     _write_csv(args.out, REPORT_COLUMNS, rows, cfg)
     return 0
 
@@ -324,20 +325,7 @@ def _cmd_simulate(args):
     table = solver.load_table(args.table)
     d_jr, mode = _verify_table(table, cfg)
     result = analysis.simulate(table, args.runs, seed=seed)
-    row = {
-        "distance_m": d_jr,
-        "alpha": cfg.alpha,
-        "gamma": _gamma_label(cfg),
-        "lifetime": result.mean_lifetime,
-        "lifetime_ci": result.lifetime_ci,
-        "psucc": result.success_rate,
-        "psucc_ci": result.success_ci,
-        "sigma": result.sigma,
-        "solve_model": mode,
-        "true_model": mode,
-        "psucc_first_frame": None,
-    }
-    _write_csv(args.out, REPORT_COLUMNS, [row], cfg)
+    _write_csv(args.out, REPORT_COLUMNS, [_report_row(cfg, d_jr, result, mode, mode)], cfg)
     return 0
 
 
@@ -348,21 +336,8 @@ def _cmd_sensitivity(args):
     d_jr, mode = _verify_table(table, cfg)
     sigmas = tuple(args.sigma) if args.sigma else SensitivitySpec().sigmas
     spec = SensitivitySpec(sigmas=sigmas, runs=args.runs)
-    rows = []
-    for result in analysis.sensitivity_sweep(table, spec, seed=seed):
-        rows.append({
-            "distance_m": d_jr,
-            "alpha": cfg.alpha,
-            "gamma": _gamma_label(cfg),
-            "lifetime": result.mean_lifetime,
-            "lifetime_ci": result.lifetime_ci,
-            "psucc": result.success_rate,
-            "psucc_ci": result.success_ci,
-            "sigma": result.sigma,
-            "solve_model": mode,
-            "true_model": mode,
-            "psucc_first_frame": None,
-        })
+    rows = [_report_row(cfg, d_jr, result, mode, mode)
+            for result in analysis.sensitivity_sweep(table, spec, seed=seed)]
     _write_csv(args.out, REPORT_COLUMNS, rows, cfg)
     return 0
 
@@ -384,8 +359,7 @@ def _cmd_mismatch(args):
             game_cfg = game_config_for(cfg, d_jr, solve_model)
             table = solver.solve_full_game(game_cfg)
         report = analysis.mismatch_evaluation(table, true_pair)
-        rows.append(_report_row(cfg, d_jr, report,
-                                solve_model=solve_model, true_model=true_model))
+        rows.append(_report_row(cfg, d_jr, report, solve_model, true_model))
         _log(f"mismatch d_jr={d_jr:g} m: lifetime {report.lifetime:.2f}, "
              f"success {report.success:.4f}")
     _write_csv(args.out, REPORT_COLUMNS, rows, cfg)

@@ -17,7 +17,11 @@ spend more than gamma(2k-1) quanta within gamma frames, so every b_j
 above that cap shares the stage matrix of the cap and takes its
 solution instead of being solved again. A frame costs at least k
 quanta, so the k levels qk .. qk+k-1 depend only on levels below qk and
-are solved as one block.
+are solved as one block. The transmitter's best response to a fixed
+jammer, the values of fixed play and the lifetime and success
+recursions of :mod:`uwjam.analysis` walk the same level blocks and read
+successors through the same gather (:func:`_levels`,
+:func:`_next_values`).
 
 Matrix games are solved as linear programs with a dense tableau simplex,
 batched over states: value = 1/max(1'q) with (M + shift) q <= 1, q >= 0.
@@ -39,42 +43,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SolverError, TableError
-from .subgame import SubgameParams, payoff_matrix, success_matrix
+from .subgame import SubgameParams, payoff_matrix
 
 __all__ = [
     "GameState",
-    "EPSILON",
     "GameConfig",
     "MixedStrategy",
     "StrategyTable",
     "is_terminal",
     "action_sets",
-    "transition_distribution",
-    "build_payoff_matrix",
     "solve_matrix_game",
     "solve_full_game",
     "solve_vs_fixed_jammer",
     "dummy_jammer_policy",
     "fixed_policy_table",
-    "deployed_matrix",
     "export_table",
     "load_table",
 ]
 
 TABLE_FORMAT = "uwjam-strategy-table"
 TABLE_VERSION = 1
-
-
-class _EpsilonState:
-    """Aggregated ending state: the transmitter cannot play a frame."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "EPSILON"
-
-
-EPSILON = _EpsilonState()
 
 
 @dataclass(frozen=True, order=True)
@@ -91,7 +79,7 @@ class GameState:
 
 def is_terminal(state, k):
     """True when no further frame can be played from this state."""
-    return state is EPSILON or state.b_t < k
+    return state.b_t < k
 
 
 @dataclass(frozen=True)
@@ -192,20 +180,12 @@ class MixedStrategy:
     def __post_init__(self):
         if len(self.support) != len(self.probs) or not self.support:
             raise ValueError("support and probs must be nonempty and match")
-        if any(p < 0.0 for p in self.probs):
-            raise ValueError("probabilities must be nonnegative")
+        if len(set(self.support)) != len(self.support):
+            raise ValueError("support must not repeat an action")
+        if not all(math.isfinite(p) and p >= 0.0 for p in self.probs):
+            raise ValueError("probabilities must be finite and nonnegative")
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1")
-
-    def sample(self, rng):
-        """Draw one action with the given numpy Generator."""
-        u = rng.random()
-        acc = 0.0
-        for action, p in zip(self.support, self.probs):
-            acc += p
-            if u < acc:
-                return action
-        return self.support[-1]
 
     def prob_of(self, action):
         for a, p in zip(self.support, self.probs):
@@ -226,63 +206,6 @@ def action_sets(state, k):
     n_ts = list(range(k, min(2 * k, state.b_t) + 1))
     n_js = list(range(0, min(2 * k - 1, state.b_j) + 1))
     return n_ts, n_js
-
-
-def _successor(state, n_t, n_j, k):
-    b_t = state.b_t - n_t
-    b_j = state.b_j - n_j
-    if b_t < k:
-        return EPSILON
-    return GameState(b_t, b_j)
-
-
-def transition_distribution(state, t_action, j_action, k):
-    """Distribution over successor states for given actions.
-
-    Each argument may be a plain action or a :class:`MixedStrategy`;
-    mixed inputs produce the product distribution. Successors the
-    transmitter cannot play from are aggregated into EPSILON.
-    """
-    n_ts, n_js = action_sets(state, k)
-    t_items = (t_action.items() if isinstance(t_action, dict)
-               else list(zip(t_action.support, t_action.probs))
-               if isinstance(t_action, MixedStrategy) else [(t_action, 1.0)])
-    j_items = (list(zip(j_action.support, j_action.probs))
-               if isinstance(j_action, MixedStrategy) else [(j_action, 1.0)])
-    for n_t, _ in t_items:
-        if n_t not in n_ts:
-            raise ValueError(f"illegal transmitter action {n_t} at {state}")
-    for n_j, _ in j_items:
-        if n_j not in n_js:
-            raise ValueError(f"illegal jammer action {n_j} at {state}")
-    out = {}
-    for n_t, pt in t_items:
-        for n_j, pj in j_items:
-            pr = pt * pj
-            if pr == 0.0:
-                continue
-            nxt = _successor(state, n_t, n_j, k)
-            out[nxt] = out.get(nxt, 0.0) + pr
-    return out
-
-
-def build_payoff_matrix(state, config, continuation=None):
-    """Stage matrix at a state: frame payoff plus discounted continuation.
-
-    :param continuation: callable mapping successor GameState (or
-        EPSILON) to its value; None means a one-shot frame
-    :returns: matrix of shape (len n_ts, len n_js), transmitter maximizes
-    """
-    n_ts, n_js = action_sets(state, config.k)
-    base = payoff_matrix(config.subgame)
-    mat = np.array(base[: len(n_ts), : len(n_js)])
-    if continuation is not None:
-        for i, n_t in enumerate(n_ts):
-            for j, n_j in enumerate(n_js):
-                nxt = _successor(state, n_t, n_j, config.k)
-                v = 0.0 if nxt is EPSILON else continuation(nxt)
-                mat[i, j] += config.discount * v
-    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -480,27 +403,55 @@ class StrategyTable:
         return min(self.config.effective_horizon(), state.b_t // self.config.k)
 
 
-def deployed_matrix(table, state):
-    """Stage matrix whose equilibrium is the strategy deployed at state."""
-    depth = table.deployed_depth(state)
-    if depth <= 1:
-        return build_payoff_matrix(state, table.config)
-    return build_payoff_matrix(
-        state, table.config,
-        continuation=lambda s: table.horizon_value(s, depth - 1))
-
-
-def _level_blocks(k, b_t0):
-    """Ranges [lo, hi) of b_t levels solved together.
+def _levels(k, b_t0):
+    """Blocks of b_t levels in solving order, with their successors.
 
     A frame spends at least k quanta, so levels qk .. qk+k-1 read only
     levels below qk and share the lookahead depth b_t // k; from b_t = 2k
     on they also share the transmitter's action count. Below 2k every
     level has its own action count and forms a block alone.
+
+    :returns: iterator of (lo, hi, m, safe_bt, alive): the levels
+        lo .. hi-1, their m = min(2k, lo) - k + 1 packet counts, and per
+        level and count n_t = k + i whether the frame leaves a playable
+        b_t - n_t >= k (alive) and that battery (safe_bt; k where the
+        game ends instead)
     """
     blocks = [(b_t, b_t + 1) for b_t in range(k, min(2 * k, b_t0 + 1))]
     blocks += [(lo, min(lo + k, b_t0 + 1)) for lo in range(2 * k, b_t0 + 1, k)]
-    return blocks
+    for lo, hi in blocks:
+        m = min(2 * k, lo) - k + 1
+        succ_bt = np.arange(lo, hi)[:, None] - np.arange(k, k + m)
+        alive = succ_bt >= k
+        yield lo, hi, m, np.where(alive, succ_bt, k), alive
+
+
+def _next_values(grid, k, safe_bt, alive):
+    """Entries of grid (..., b_t, b_j) at every successor of a level block.
+
+    :returns: array (..., levels, b_j, m, 2k) holding, for each state of
+        the block, the entry after sending n_t = k + i packets and
+        jamming n_j = j slots. Jam counts above b_j read b_j' = 0; a jammer cannot
+        afford them, so they must carry zero probability. Successors
+        where the game has ended read 0.
+    """
+    succ_bj = np.clip(np.arange(grid.shape[-1])[:, None] - np.arange(2 * k), 0, None)
+    nxt = grid[..., safe_bt[:, None, :, None], succ_bj[None, :, None, :]]
+    return np.where(alive[:, None, :, None], nxt, 0.0)
+
+
+def _store(horizon_values, values, rows, cols, by_depth):
+    """Write a block's values for lookahead depths 1 .. depth.
+
+    by_depth (depth, levels, columns) lands at b_t slice rows and b_j
+    slice cols. The game cannot outlast depth frames from there, so every
+    deeper lookahead repeats the last depth, which is also the deployed
+    value.
+    """
+    depth = len(by_depth)
+    horizon_values[1: depth + 1, rows, cols] = by_depth
+    horizon_values[depth + 1:, rows, cols] = by_depth[-1]
+    values[rows, cols] = by_depth[-1]
 
 
 def _column_groups(k, b_j0, g_store):
@@ -540,7 +491,7 @@ def solve_full_game(config):
 
     Iterates b_t upward (frames strictly drain the transmitter) in blocks
     of up to k levels that depend only on levels below the block (see
-    :func:`_level_blocks`). Each distinct (gamma, b_j) matrix game of a
+    :func:`_levels`). Each distinct (gamma, b_j) matrix game of a
     block is solved once: jammer batteries above what the jammer can
     spend within gamma frames take the solution at that cap (see
     :func:`_column_groups`), and the games sharing a shape go to the
@@ -558,13 +509,9 @@ def solve_full_game(config):
     j_probs = np.zeros((b_t0 + 1, b_j0 + 1, 2 * k))
     values = np.zeros((b_t0 + 1, b_j0 + 1))
     groups = _column_groups(k, b_j0, g_store)
-    for lo, hi in _level_blocks(k, b_t0):
+    for lo, hi, m, safe_bt, alive in _levels(k, b_t0):
         levels = hi - lo
-        m = min(2 * k, lo) - k + 1
         depth = min(g_store, lo // k)
-        succ_bt = np.arange(lo, hi)[:, None] - np.arange(k, k + m)
-        alive = succ_bt >= k
-        safe_bt = np.where(alive, succ_bt, k)
         for b_js, n, pair_depth, pair_bj, offsets, expand in groups:
             pairs = offsets[depth]
             succ_bj = pair_bj[:pairs, None] - np.arange(n)
@@ -575,14 +522,85 @@ def solve_full_game(config):
             stage = base[:m, :n] + lam * cont
             vals, rows, colstrats = _minimax_batch(stage.reshape(-1, m, n))
             vals = vals.reshape(levels, pairs)
-            by_depth = vals[:, expand[:depth]]          # (levels, depth, b_js)
-            horizon_values[1: depth + 1, lo:hi, b_js] = by_depth.transpose(1, 0, 2)
-            if depth < g_store:
-                horizon_values[depth + 1:, lo:hi, b_js] = by_depth[:, -1]
+            _store(horizon_values, values, slice(lo, hi), b_js,
+                   vals[:, expand[:depth]].transpose(1, 0, 2))
             deployed = expand[depth - 1]
             t_probs[lo:hi, b_js, :m] = rows.reshape(levels, pairs, m)[:, deployed]
             j_probs[lo:hi, b_js, :n] = colstrats.reshape(levels, pairs, n)[:, deployed]
-            values[lo:hi, b_js] = by_depth[:, -1]
+    return StrategyTable(config, t_probs, j_probs, values, horizon_values)
+
+
+def _policy_probs(config, policy, jammer):
+    """Dense probabilities of a policy over the battery grid.
+
+    :param policy: callable state -> action or MixedStrategy, called at
+        every non-terminal state
+    :param jammer: True for jam counts 0 .. min(2k-1, b_j), laid out as
+        StrategyTable.j_probs; False for packet counts k .. min(2k, b_t),
+        laid out as t_probs
+    :raises ValueError: on an action that is illegal at its state
+    """
+    k = config.k
+    first = 0 if jammer else k
+    cells, acts, probs = [], [], []
+    for b_t in range(k, config.b_t0 + 1):
+        for b_j in range(config.b_j0 + 1):
+            choice = policy(GameState(b_t, b_j))
+            if isinstance(choice, MixedStrategy):
+                cells += [(b_t, b_j)] * len(choice.support)
+                acts += choice.support
+                probs += choice.probs
+            else:
+                cells.append((b_t, b_j))
+                acts.append(choice)
+                probs.append(1.0)
+    b_t, b_j = np.array(cells, dtype=int).reshape(-1, 2).T
+    acts = np.array(acts, dtype=float)
+    last = np.minimum(2 * k - 1, b_j) if jammer else np.minimum(2 * k, b_t)
+    illegal = (acts < first) | (acts > last) | (acts != np.floor(acts))
+    if illegal.any():
+        i = illegal.argmax()
+        raise ValueError(f"illegal action {acts[i]:g} at {GameState(int(b_t[i]), int(b_j[i]))}")
+    out = np.zeros((config.b_t0 + 1, config.b_j0 + 1, 2 * k if jammer else k + 1))
+    out[b_t, b_j, acts.astype(int) - first] = probs
+    return out
+
+
+def _best_response(pt, pj, stage):
+    """Values of the transmitter's best reply to the jam probabilities;
+    ties go to the fewest packets, which favours battery life. Marks the
+    reply at the deepest lookahead in pt."""
+    q = np.einsum('lbj,glbij->glbi', pj, stage)
+    best = q.argmax(axis=3)                     # first max: lowest n_t
+    np.put_along_axis(pt, best[-1, :, :, None], 1.0, axis=2)
+    return np.take_along_axis(q, best[..., None], axis=3)[..., 0]
+
+
+def _expectation(pt, pj, stage):
+    """Expected stage payoff of the given send and jam probabilities."""
+    return np.einsum('lbi,lbj,glbij->glb', pt, pj, stage)
+
+
+def _policy_sweep(config, t_probs, j_probs, rule):
+    """Receding-horizon values of play against fixed jam probabilities.
+
+    Walks the solver's level blocks. rule(pt, pj, stage) takes a block's
+    send probabilities pt (levels, b_j, m), jam probabilities
+    pj (levels, b_j, 2k) and stage matrices (depth, levels, b_j, m, 2k)
+    for lookahead depths 1 .. depth, and returns the values
+    (depth, levels, b_j); it may fill pt in place.
+    """
+    k = config.k
+    base = payoff_matrix(config.subgame)
+    g_store = config.effective_horizon()
+    horizon_values = np.zeros((g_store + 1, config.b_t0 + 1, config.b_j0 + 1))
+    values = np.zeros((config.b_t0 + 1, config.b_j0 + 1))
+    for lo, hi, m, safe_bt, alive in _levels(k, config.b_t0):
+        depth = min(g_store, lo // k)
+        cont = _next_values(horizon_values[:depth], k, safe_bt, alive)
+        stage = base[:m] + config.discount * cont
+        _store(horizon_values, values, slice(lo, hi), slice(None),
+               rule(t_probs[lo:hi, :, :m], j_probs[lo:hi], stage))
     return StrategyTable(config, t_probs, j_probs, values, horizon_values)
 
 
@@ -593,52 +611,19 @@ def dummy_jammer_policy(config):
 
 
 def solve_vs_fixed_jammer(config, jammer_policy=None):
-    """Transmitter best response against a known pure jammer policy.
+    """Transmitter best response against a known jammer policy.
 
-    :param jammer_policy: callable state -> n_j; defaults to the dummy
-        jammer that always spends k + 1 quanta
+    :param jammer_policy: callable state -> n_j or MixedStrategy;
+        defaults to the dummy jammer that always spends k + 1 quanta
 
     The transmitter maximizes the same receding-horizon objective; ties
     break toward the smallest packet count, which favours battery life.
     """
     if jammer_policy is None:
         jammer_policy = dummy_jammer_policy(config)
-    k = config.k
-    b_t0, b_j0 = config.b_t0, config.b_j0
-    lam = config.discount
-    base = payoff_matrix(config.subgame)
-    g_store = config.effective_horizon()
-    horizon_values = np.zeros((g_store + 1, b_t0 + 1, b_j0 + 1))
-    t_probs = np.zeros((b_t0 + 1, b_j0 + 1, k + 1))
-    j_probs = np.zeros((b_t0 + 1, b_j0 + 1, 2 * k))
-    values = np.zeros((b_t0 + 1, b_j0 + 1))
-    for b_t in range(k, b_t0 + 1):
-        m = min(2 * k, b_t) - k + 1
-        depth = min(g_store, b_t // k)
-        n_ts = np.arange(k, k + m)
-        succ_bt = b_t - n_ts
-        alive = succ_bt >= k
-        safe_bt = np.where(alive, succ_bt, k)
-        b_js = np.arange(b_j0 + 1)
-        jam = np.array([jammer_policy(GameState(b_t, b_j)) for b_j in b_js])
-        if ((jam < 0) | (jam > np.minimum(2 * k - 1, b_js))).any():
-            raise ValueError("jammer policy returned an illegal jam count")
-        succ_bj = b_js - jam
-        cont = horizon_values[np.arange(depth)[:, None, None],
-                              safe_bt[None, None, :],
-                              succ_bj[None, :, None]]
-        cont = np.where(alive[None, None, :], cont, 0.0)
-        col = base[:m, jam].T                       # (b_j, m)
-        q = col[None] + lam * cont                  # (depth, b_j, m)
-        best = q.argmax(axis=2)                     # first max: lowest n_t
-        vals = np.take_along_axis(q, best[:, :, None], axis=2)[:, :, 0]
-        horizon_values[1: depth + 1, b_t, :] = vals
-        if depth < g_store:
-            horizon_values[depth + 1:, b_t, :] = vals[depth - 1]
-        t_probs[b_t, b_js, best[depth - 1]] = 1.0
-        j_probs[b_t, b_js, jam] = 1.0
-        values[b_t, :] = vals[depth - 1]
-    return StrategyTable(config, t_probs, j_probs, values, horizon_values)
+    t_probs = np.zeros((config.b_t0 + 1, config.b_j0 + 1, config.k + 1))
+    j_probs = _policy_probs(config, jammer_policy, jammer=True)
+    return _policy_sweep(config, t_probs, j_probs, _best_response)
 
 
 def fixed_policy_table(config, t_policy, j_policy):
@@ -650,56 +635,9 @@ def fixed_policy_table(config, t_policy, j_policy):
     Values are the receding-horizon expected payoffs of the given play,
     found by policy evaluation over the same level order as the solver.
     """
-    k = config.k
-    b_t0, b_j0 = config.b_t0, config.b_j0
-    lam = config.discount
-    base = payoff_matrix(config.subgame)
-    g_store = config.effective_horizon()
-    t_probs = np.zeros((b_t0 + 1, b_j0 + 1, k + 1))
-    j_probs = np.zeros((b_t0 + 1, b_j0 + 1, 2 * k))
-    for b_t in range(k, b_t0 + 1):
-        for b_j in range(b_j0 + 1):
-            state = GameState(b_t, b_j)
-            n_ts, n_js = action_sets(state, k)
-            for policy, probs, actions, base_action in (
-                    (t_policy, t_probs, n_ts, k),
-                    (j_policy, j_probs, n_js, 0)):
-                choice = policy(state)
-                if isinstance(choice, MixedStrategy):
-                    for action, p in zip(choice.support, choice.probs):
-                        if action not in actions:
-                            raise ValueError(f"illegal action {action} at {state}")
-                        probs[b_t, b_j, action - base_action] = p
-                else:
-                    if choice not in actions:
-                        raise ValueError(f"illegal action {choice} at {state}")
-                    probs[b_t, b_j, choice - base_action] = 1.0
-    horizon_values = np.zeros((g_store + 1, b_t0 + 1, b_j0 + 1))
-    values = np.zeros((b_t0 + 1, b_j0 + 1))
-    for b_t in range(k, b_t0 + 1):
-        m = min(2 * k, b_t) - k + 1
-        depth = min(g_store, b_t // k)
-        n = 2 * k
-        n_ts = np.arange(k, k + m)
-        succ_bt = b_t - n_ts
-        alive = succ_bt >= k
-        safe_bt = np.where(alive, succ_bt, k)
-        b_js = np.arange(b_j0 + 1)
-        cols = np.arange(n)
-        succ_bj = np.clip(b_js[:, None] - cols[None, :], 0, None)
-        cont = horizon_values[np.arange(depth)[:, None, None, None],
-                              safe_bt[None, None, :, None],
-                              succ_bj[None, :, None, :]]
-        cont = np.where(alive[None, None, :, None], cont, 0.0)
-        stage = base[None, None, :m, :n] + lam * cont
-        pt = t_probs[b_t, :, :m]
-        pj = j_probs[b_t, :, :]
-        vals = np.einsum('bi,bj,gbij->gb', pt, pj, stage)
-        horizon_values[1: depth + 1, b_t, :] = vals[:depth]
-        if depth < g_store:
-            horizon_values[depth + 1:, b_t, :] = vals[depth - 1]
-        values[b_t, :] = vals[depth - 1]
-    return StrategyTable(config, t_probs, j_probs, values, horizon_values)
+    t_probs = _policy_probs(config, t_policy, jammer=False)
+    j_probs = _policy_probs(config, j_policy, jammer=True)
+    return _policy_sweep(config, t_probs, j_probs, _expectation)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Independent reference implementations the tests compare the package against.
 
 Everything here is deliberately dumb and slow: exhaustive enumeration,
-high-precision series, or an off-the-shelf LP. Only
-backward_induction_reference shares code with the package, the
-single-state matrix builder and single-game LP, because it checks how
-solve_full_game batches and dedupes those games, bit for bit.
+high-precision series, an off-the-shelf LP, or one state at a time.
+build_payoff_matrix and deployed_matrix build the stage matrix of a
+single state from its successors' values; the backward-induction and
+fixed-play references below loop over states with them, and the
+acceptance tests certify stored strategies against them. These two
+take the frame payoffs and the legal action sets from the package; only
+backward_induction_reference also shares the single-game LP, because it
+checks how solve_full_game batches and dedupes those games, bit for bit.
 """
 
 import itertools
@@ -162,6 +166,38 @@ def frame_success_exhaustive(k, n_t, n_j, p_clear, p_blocked):
     return total / count
 
 
+def build_payoff_matrix(state, config, continuation=None):
+    """Stage matrix at a state: frame payoff plus discounted continuation.
+
+    :param continuation: callable mapping a successor GameState to its
+        value; successors where the transmitter cannot afford another
+        frame are worth 0. None means a one-shot frame.
+    :returns: matrix of shape (len n_ts, len n_js), transmitter maximizes
+    """
+    from uwjam.solver import GameState, action_sets
+    from uwjam.subgame import payoff_matrix
+
+    n_ts, n_js = action_sets(state, config.k)
+    mat = np.array(payoff_matrix(config.subgame)[: len(n_ts), : len(n_js)])
+    if continuation is not None:
+        for i, n_t in enumerate(n_ts):
+            for j, n_j in enumerate(n_js):
+                b_t = state.b_t - n_t
+                v = 0.0 if b_t < config.k else continuation(GameState(b_t, state.b_j - n_j))
+                mat[i, j] += config.discount * v
+    return mat
+
+
+def deployed_matrix(table, state):
+    """Stage matrix whose equilibrium is the strategy deployed at state."""
+    depth = table.deployed_depth(state)
+    if depth <= 1:
+        return build_payoff_matrix(state, table.config)
+    return build_payoff_matrix(
+        state, table.config,
+        continuation=lambda s: table.horizon_value(s, depth - 1))
+
+
 def backward_induction_reference(config):
     """Receding-horizon backward induction one state at a time.
 
@@ -172,7 +208,7 @@ def backward_induction_reference(config):
     :returns: (horizon_values, t_probs, j_probs, values) laid out as in
         StrategyTable
     """
-    from uwjam.solver import GameState, build_payoff_matrix, solve_matrix_game
+    from uwjam.solver import GameState, solve_matrix_game
 
     k = config.k
     g_store = config.effective_horizon()
@@ -196,3 +232,48 @@ def backward_induction_reference(config):
             j_probs[b_t, b_j, : y.size] = y
             values[b_t, b_j] = v
     return horizon_values, t_probs, j_probs, values
+
+
+def fixed_play_reference(config, j_policy, t_policy=None):
+    """Receding-horizon values of play against a fixed jammer, one state
+    and lookahead depth at a time.
+
+    With t_policy the transmitter's play x is fixed too and a depth's
+    value is x M y for the state's stage matrix M and jam probabilities
+    y. Without it the transmitter plays the best row of M y, ties going
+    to the lowest n_t.
+
+    :returns: (horizon_values, t_probs) laid out as in StrategyTable
+    """
+    from uwjam.solver import GameState, MixedStrategy, action_sets
+
+    def dense(choice, actions):
+        if isinstance(choice, MixedStrategy):
+            return np.array([choice.prob_of(a) for a in actions])
+        return np.array([float(a == choice) for a in actions])
+
+    k = config.k
+    g_store = config.effective_horizon()
+    shape = (config.b_t0 + 1, config.b_j0 + 1)
+    horizon_values = np.zeros((g_store + 1,) + shape)
+    t_probs = np.zeros(shape + (k + 1,))
+    for b_t in range(k, config.b_t0 + 1):
+        depth = min(g_store, b_t // k)
+        for b_j in range(config.b_j0 + 1):
+            state = GameState(b_t, b_j)
+            n_ts, n_js = action_sets(state, k)
+            y = dense(j_policy(state), n_js)
+            for g in range(1, depth + 1):
+                mat = build_payoff_matrix(
+                    state, config,
+                    continuation=lambda s: horizon_values[g - 1, s.b_t, s.b_j])
+                rows = mat @ y
+                if t_policy is None:
+                    x = np.zeros(len(n_ts))
+                    x[int(np.argmax(rows))] = 1.0
+                else:
+                    x = dense(t_policy(state), n_ts)
+                horizon_values[g, b_t, b_j] = x @ rows
+            horizon_values[depth + 1:, b_t, b_j] = horizon_values[depth, b_t, b_j]
+            t_probs[b_t, b_j, : x.size] = x
+    return horizon_values, t_probs

@@ -25,7 +25,6 @@ from uwjam.solver import (
     GameConfig,
     GameState,
     action_sets,
-    deployed_matrix,
     export_table,
     fixed_policy_table,
     solve_full_game,
@@ -112,7 +111,7 @@ def test_criterion_5_reduced_game_equilibrium(criterion):
         t0 = time.perf_counter()
         table = solve_full_game(cfg)
         for state in table.states():
-            mat = deployed_matrix(table, state)
+            mat = oracles.deployed_matrix(table, state)
             n_ts, n_js = action_sets(state, cfg.k)
             x = np.array([table.strategy_t(state).prob_of(a) for a in n_ts])
             y = np.array([table.strategy_j(state).prob_of(a) for a in n_js])

@@ -154,6 +154,16 @@ def test_simulate_validation(ne_table):
         simulate(ne_table, runs=10, sigma=-0.1)
 
 
+@pytest.mark.parametrize("pair", [(-0.5, 2.0), (1.5, 0.2), (0.1, math.nan)])
+def test_error_pair_validated_alike(ne_table, pair):
+    # a PER outside [0, 1] is rejected by the closed form and the
+    # simulator alike
+    with pytest.raises(ValueError):
+        analyze(ne_table, error_pair=pair)
+    with pytest.raises(ValueError):
+        simulate(ne_table, 20, error_pair=pair)
+
+
 def test_sensitivity_sweep_lifetime_invariant(ne_table):
     spec = SensitivitySpec(sigmas=(0.0, 0.05, 0.1), runs=300)
     rows = sensitivity_sweep(ne_table, spec=spec, seed=7)

@@ -8,7 +8,7 @@ import pytest
 
 from uwjam.cli import DEFAULT_SWEEP, REPORT_COLUMNS, ScenarioConfig, main
 from uwjam.errors import ConfigError
-from uwjam.solver import load_table
+from uwjam.solver import export_table, load_table
 
 
 SMALL_SCENARIO = {
@@ -230,7 +230,7 @@ def test_mismatch_dummy_jammer_baseline(tmp_path, scenario):
 # failure modes and exit codes
 
 
-def test_exit_codes(tmp_path, tables_dir):
+def test_exit_codes(tmp_path, scenario, tables_dir):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{nope")
     assert main(["per-sweep", "--config", str(bad_json)]) == 2
@@ -249,6 +249,14 @@ def test_exit_codes(tmp_path, tables_dir):
     fake = tmp_path / "fake.json"
     fake.write_text(json.dumps({"format": "nope"}))
     assert main(["inspect-table", "--table", str(fake)]) == 4
+
+    # meta sits outside the checksum; a bad one is a table fault
+    table = load_table(tables_dir / "table_djr50m.json")
+    for meta in ({"d_jr": "sixty"}, {"d_jr": -5}, {"d_jr": True}, {"d_jr": float("nan")},
+                 {"d_jr": 50.0, "per_mode": "psychic"}, ["d_jr"]):
+        bad_meta = tmp_path / "bad_meta.json"
+        export_table(table, bad_meta, meta=meta)
+        assert main(["evaluate", "--config", scenario, "--table", str(bad_meta)]) == 4, meta
 
 
 def test_solver_failure_exit_code(tmp_path, scenario, monkeypatch):

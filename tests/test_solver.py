@@ -11,13 +11,10 @@ import pytest
 import uwjam.solver
 from uwjam.errors import ConfigError, SolverError, TableError
 from uwjam.solver import (
-    EPSILON,
     GameConfig,
     GameState,
     MixedStrategy,
     action_sets,
-    build_payoff_matrix,
-    deployed_matrix,
     dummy_jammer_policy,
     export_table,
     fixed_policy_table,
@@ -26,12 +23,14 @@ from uwjam.solver import (
     solve_full_game,
     solve_matrix_game,
     solve_vs_fixed_jammer,
-    transition_distribution,
+    _levels,
     _minimax_batch,
+    _next_values,
 )
 from uwjam.subgame import SubgameParams, payoff_matrix, subgame_payoff
 
 import oracles
+from oracles import build_payoff_matrix, deployed_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +148,6 @@ def test_game_state_basics():
         GameState(-1, 4)
     assert is_terminal(GameState(3, 9), 4)
     assert not is_terminal(GameState(4, 0), 4)
-    assert is_terminal(EPSILON, 4)
 
 
 def test_game_config_validation():
@@ -198,16 +196,16 @@ def test_mixed_strategy():
     ms = MixedStrategy((4, 6), (0.25, 0.75))
     assert ms.prob_of(6) == 0.75
     assert ms.prob_of(5) == 0.0
-    rng = np.random.default_rng(0)
-    draws = [ms.sample(rng) for _ in range(2000)]
-    assert set(draws) == {4, 6}
-    assert abs(draws.count(6) / 2000 - 0.75) < 0.05
-    with pytest.raises(ValueError):
-        MixedStrategy((1, 2), (0.5,))
-    with pytest.raises(ValueError):
-        MixedStrategy((1, 2), (-0.1, 1.1))
-    with pytest.raises(ValueError):
-        MixedStrategy((1, 2), (0.4, 0.4))
+    for support, probs in (
+        ((1, 2), (0.5,)),
+        ((1, 2), (-0.1, 1.1)),
+        ((1, 2), (0.4, 0.4)),
+        ((2, 2), (0.5, 0.5)),           # a repeated action
+        ((2,), (math.nan,)),            # NaN passes < 0 and the sum check
+        ((1, 2), (math.inf, -math.inf)),
+    ):
+        with pytest.raises(ValueError):
+            MixedStrategy(support, probs)
 
 
 def test_action_sets():
@@ -221,23 +219,28 @@ def test_action_sets():
         action_sets(GameState(3, 5), 4)
 
 
-def test_transition_distribution():
-    # k=4 from (9, 3): n_t=6 drains below k, so the frame ends the game
-    dist = transition_distribution(GameState(9, 3), 6, 2, 4)
-    assert dist == {EPSILON: 1.0}
-    dist = transition_distribution(GameState(9, 3), 4, 3, 4)
-    assert dist == {GameState(5, 0): 1.0}
-    mixed_t = MixedStrategy((4, 6), (0.5, 0.5))
-    mixed_j = MixedStrategy((0, 2), (0.3, 0.7))
-    dist = transition_distribution(GameState(9, 3), mixed_t, mixed_j, 4)
-    assert dist[GameState(5, 3)] == pytest.approx(0.15)
-    assert dist[GameState(5, 1)] == pytest.approx(0.35)
-    assert dist[EPSILON] == pytest.approx(0.5)
-    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        transition_distribution(GameState(9, 3), 9, 0, 4)
-    with pytest.raises(ValueError):
-        transition_distribution(GameState(9, 3), 4, 4, 4)
+def test_level_successors():
+    k, b_t0 = 4, 21
+    blocks = list(_levels(k, b_t0))
+    # levels k .. 2k-1 alone, then blocks of k levels up to b_t0
+    assert [(lo, hi, m) for lo, hi, m, _, _ in blocks] == (
+        [(4, 5, 1), (5, 6, 2), (6, 7, 3), (7, 8, 4)]
+        + [(8, 12, 5), (12, 16, 5), (16, 20, 5), (20, 22, 5)])
+    lo, hi, m, safe_bt, alive = blocks[4]
+    # from b_t=9, n_t=4 leaves 5 and n_t=6 drains below k: the game ends
+    assert safe_bt[1, 0] == 5 and alive[1, 0]
+    assert not alive[1, 2]
+    grid = np.arange(22 * 4, dtype=float).reshape(22, 4) + 1.0
+    nxt = _next_values(grid, k, safe_bt, alive)
+    assert nxt.shape == (4, 4, 5, 8)
+    # (9, 3) sending 4 and jamming 3 leads to (5, 0)
+    assert nxt[1, 3, 0, 3] == grid[5, 0]
+    assert nxt[1, 3, 2, 0] == 0.0
+    # jam counts the jammer cannot afford read b_j' = 0
+    assert nxt[1, 3, 0, 7] == grid[5, 0]
+    # leading axes of the grid carry through
+    stacked = _next_values(np.stack([grid, 2 * grid]), k, safe_bt, alive)
+    np.testing.assert_array_equal(stacked, np.stack([nxt, 2 * nxt]))
 
 
 def test_build_payoff_matrix():
@@ -304,7 +307,7 @@ def test_horizon_values(small_game):
     # lookahead saturates at the battery-limited depth
     assert table.deployed_depth(s0) == 3
     assert table.horizon_value(s0, 99) == table.value(s0)
-    assert table.value(EPSILON) == 0.0
+    assert table.value(GameState(1, 6)) == 0.0     # terminal
     with pytest.raises(ValueError):
         table.horizon_value(s0, -1)
 
@@ -459,6 +462,63 @@ def test_fixed_policy_table_rejects_illegal_action():
         fixed_policy_table(cfg, lambda s: 7, lambda s: 0)
     with pytest.raises(ValueError):
         fixed_policy_table(cfg, lambda s: 2, lambda s: 3)
+
+
+def _mixed_sends(state):
+    sends = tuple(range(2, min(4, state.b_t) + 1))          # k = 2
+    weights = np.arange(1.0, len(sends) + 1.0)
+    return MixedStrategy(sends, tuple(weights / weights.sum()))
+
+
+def _mixed_jams(state):
+    jams = tuple(range(min(3, state.b_j) + 1))
+    return MixedStrategy(jams, (1.0 / len(jams),) * len(jams))
+
+
+def _cfg(k, b_t0, b_j0, **over):
+    base = dict(alpha=0.4, p_clear=0.1, p_blocked=0.7, horizon=4)
+    base.update(over)
+    return GameConfig(k=k, b_t0=b_t0, b_j0=b_j0, **base)
+
+
+INF = dict(horizon=math.inf, discount=0.9)
+
+
+# (config, jammer policy, transmitter policy or None for the best response)
+@pytest.mark.parametrize("cfg, j_policy, t_policy", [
+    pytest.param(_cfg(1, 7, 3, horizon=3), lambda s: min(1, s.b_j), None,
+                 id="k1-best-response"),
+    pytest.param(_cfg(1, 7, 3, horizon=3), lambda s: min(1, s.b_j),
+                 lambda s: 1 if s.b_t % 2 else min(2, s.b_t), id="k1-fixed"),
+    pytest.param(_cfg(2, 11, 0, alpha=0.5, p_clear=0.0, p_blocked=1.0), lambda s: 0, None,
+                 id="bj0-best-response"),
+    pytest.param(_cfg(2, 11, 7), lambda s: min(3, s.b_j), None, id="k2-best-response"),
+    pytest.param(_cfg(2, 11, 7), _mixed_jams, _mixed_sends, id="k2-mixed"),
+    pytest.param(_cfg(3, 13, 8, p_clear=0.05, p_blocked=0.6, **INF), lambda s: min(4, s.b_j),
+                 None, id="inf-best-response"),
+    pytest.param(_cfg(2, 11, 7, p_clear=0.05, p_blocked=0.6, **INF), _mixed_jams,
+                 _mixed_sends, id="inf-mixed"),
+])
+def test_policy_sweep_matches_per_state_reference(cfg, j_policy, t_policy):
+    if t_policy is None:
+        table = solve_vs_fixed_jammer(cfg, j_policy)
+    else:
+        table = fixed_policy_table(cfg, t_policy, j_policy)
+    want_hv, want_t = oracles.fixed_play_reference(cfg, j_policy, t_policy)
+    np.testing.assert_allclose(table.horizon_values, want_hv, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(table.values, want_hv[-1], rtol=0, atol=1e-12)
+    # the best response is the reference's first maximal row exactly
+    np.testing.assert_array_equal(table.t_probs, want_t)
+
+
+def test_best_response_to_mixed_jammer():
+    # rounding may split exact ties between rows against a mixed jammer,
+    # so only the values are compared; they show each reply is a best row
+    cfg = _cfg(2, 11, 7)
+    table = solve_vs_fixed_jammer(cfg, _mixed_jams)
+    want_hv, _ = oracles.fixed_play_reference(cfg, _mixed_jams)
+    np.testing.assert_allclose(table.horizon_values, want_hv, rtol=0, atol=1e-12)
+    assert (table.t_probs[cfg.k:].max(axis=2) == 1.0).all()
 
 
 # ---------------------------------------------------------------------------
