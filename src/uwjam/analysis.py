@@ -4,6 +4,9 @@ Two complementary paths: closed-form recursions over the acyclic state
 graph, and a Monte Carlo simulator that replays frames mechanically
 (random slot subsets, per-packet coin flips) without reusing any of the
 analytic machinery, so the two act as independent checks on each other.
+The simulator steps each frame as one array operation across a chunk of
+runs; every run still draws from its own (seed, run) substreams, so
+results do not depend on the chunk size.
 
 Lifetime counts frames until the transmitter battery drops below k:
 
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .solver import _levels, _next_values, is_terminal
 from .subgame import SubgameParams, success_matrix
@@ -43,6 +45,8 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 12345
+# Monte Carlo runs stepped together; bounds the uniforms held at once
+_CHUNK = 1024
 
 
 def _subgame_for(table, error_pair):
@@ -219,7 +223,12 @@ def _ci_half_width(samples):
     sd = samples.std(ddof=1)
     if sd == 0.0:
         return 0.0
-    return float(stats.t.ppf(0.975, n - 1) * sd / math.sqrt(n))
+    # scipy.stats.t.ppf(0.975, n - 1) calls this same function; importing
+    # scipy.special here keeps scipy.stats (~1.4 s, ~70 MB) out of
+    # ``import uwjam``
+    from scipy import special
+
+    return float(special.stdtrit(n - 1, 0.975) * sd / math.sqrt(n))
 
 
 def simulate(table, runs, seed=DEFAULT_SEED, sigma=0.0, error_pair=None):
@@ -233,6 +242,12 @@ def simulate(table, runs, seed=DEFAULT_SEED, sigma=0.0, error_pair=None):
     draws, so a run's action sequence, and hence its lifetime, is
     identical whatever sigma or error pair is in force. With sigma = 0
     results are bit-identical to the unperturbed simulation.
+
+    Runs are played in chunks of ``_CHUNK``: each run still draws its
+    own block of uniforms from its own substream, and each frame is one
+    array step over the chunk's runs still alive. A run's arithmetic is
+    the same as playing it alone, so the result does not depend on the
+    chunking, and memory stays bounded by the chunk, not by ``runs``.
 
     The per-run success statistic weights frame t by
     1/(1 + E[L|S_{t+1}]) times the running product of
@@ -248,68 +263,20 @@ def simulate(table, runs, seed=DEFAULT_SEED, sigma=0.0, error_pair=None):
         defaults to the solve-time pair
     :returns: :class:`SimulationResult`
     """
-    cfg = table.config
-    k = cfg.k
     if runs < 1:
         raise ValueError("need at least one run")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     params = _subgame_for(table, error_pair)
-    base_clear, base_blocked = params.p_clear, params.p_blocked
-    slots = 2 * k - 1
-    # fixed draw budget per frame: 2 action picks, 2 slot permutations,
-    # up to 2k packet coins
-    draws = 2 + 2 * slots + 2 * k
-    max_frames = cfg.b_t0 // k
     cum_t = np.cumsum(table.t_probs, axis=2)
     cum_j = np.cumsum(table.j_probs, axis=2)
     lmap = _lifetime_map(table)
     lifetimes = np.empty(runs)
     successes = np.empty(runs)
-    for run in range(runs):
-        root = np.random.SeedSequence((seed, run))
-        perturb_ss, play_ss = root.spawn(2)
-        if sigma > 0.0:
-            perturb = np.random.Generator(np.random.PCG64(perturb_ss))
-            eps = perturb.normal(0.0, sigma, size=2)
-            p_clear = min(1.0, max(0.0, base_clear + eps[0]))
-            p_blocked = min(1.0, max(0.0, base_blocked + eps[1]))
-            p_blocked = max(p_blocked, p_clear)
-        else:
-            p_clear, p_blocked = base_clear, base_blocked
-        play = np.random.Generator(np.random.PCG64(play_ss))
-        u = play.random((max_frames, draws))
-        b_t, b_j = cfg.b_t0, cfg.b_j0
-        frames = 0
-        stat = 0.0
-        weight = 1.0
-        while b_t >= k:
-            row = u[frames]
-            m = min(2 * k, b_t) - k + 1
-            n = min(slots, b_j) + 1
-            ct = cum_t[b_t, b_j]
-            cj = cum_j[b_t, b_j]
-            n_t = k + int(np.searchsorted(ct[:m], row[0] * ct[m - 1], side="left"))
-            n_j = int(np.searchsorted(cj[:n], row[1] * cj[n - 1], side="left"))
-            ut = row[2: 2 + slots]
-            uj = row[2 + slots: 2 + 2 * slots]
-            packet_slots = sorted(range(slots), key=ut.__getitem__)[: n_t - 1]
-            jammed = set(sorted(range(slots), key=uj.__getitem__)[:n_j])
-            coins = row[2 + 2 * slots:]
-            delivered = 1 if coins[0] >= p_clear else 0      # unjammable first copy
-            for pos, slot in enumerate(packet_slots):
-                per = p_blocked if slot in jammed else p_clear
-                if coins[1 + pos] >= per:
-                    delivered += 1
-            frames += 1
-            b_t -= n_t
-            b_j -= n_j
-            l_next = lmap[b_t, b_j] if b_t >= k else 0.0
-            if delivered >= k:
-                stat += weight / (1.0 + l_next)
-            weight *= l_next / (1.0 + l_next)
-        lifetimes[run] = frames
-        successes[run] = stat
+    for start in range(0, runs, _CHUNK):
+        stop = min(start + _CHUNK, runs)
+        lifetimes[start:stop], successes[start:stop] = _play_chunk(
+            table.config, cum_t, cum_j, lmap, params, seed, sigma, range(start, stop))
     return SimulationResult(
         runs=runs,
         seed=seed,
@@ -319,6 +286,77 @@ def simulate(table, runs, seed=DEFAULT_SEED, sigma=0.0, error_pair=None):
         success_rate=float(successes.mean()),
         success_ci=_ci_half_width(successes),
     )
+
+
+def _play_chunk(cfg, cum_t, cum_j, lmap, params, seed, sigma, runs):
+    """Lifetimes and success statistics of the given run numbers."""
+    k = cfg.k
+    slots = 2 * k - 1
+    # fixed draw budget per frame: 2 action picks, 2 slot permutations,
+    # up to 2k packet coins
+    draws = 2 + 2 * slots + 2 * k
+    size = len(runs)
+    u = np.empty((size, cfg.b_t0 // k, draws))
+    eps = np.empty((size, 2))
+    for i, run in enumerate(runs):
+        # the two children SeedSequence((seed, run)).spawn(2) would give,
+        # built directly: perturbation first, play second
+        if sigma > 0.0:
+            perturb_ss = np.random.SeedSequence((seed, run), spawn_key=(0,))
+            eps[i] = np.random.Generator(np.random.PCG64(perturb_ss)).normal(0.0, sigma, size=2)
+        play_ss = np.random.SeedSequence((seed, run), spawn_key=(1,))
+        np.random.Generator(np.random.PCG64(play_ss)).random(out=u[i])
+    if sigma > 0.0:
+        p_clear = np.clip(params.p_clear + eps[:, 0], 0.0, 1.0)
+        p_blocked = np.maximum(np.clip(params.p_blocked + eps[:, 1], 0.0, 1.0), p_clear)
+    else:
+        p_clear = np.full(size, params.p_clear, dtype=float)
+        p_blocked = np.full(size, params.p_blocked, dtype=float)
+
+    b_t = np.full(size, cfg.b_t0)
+    b_j = np.full(size, cfg.b_j0)
+    frames = np.zeros(size)
+    stat = np.zeros(size)
+    weight = np.ones(size)
+    live = np.arange(size)
+    ranks = np.arange(slots)
+    for frame in range(u.shape[1]):
+        live = live[b_t[live] >= k]
+        if live.size == 0:
+            break
+        row = u[live, frame]
+        bt, bj = b_t[live], b_j[live]
+        # searchsorted(side="left") over the legal prefix: the number of
+        # cumulative entries below u * total
+        m = np.minimum(2 * k, bt) - k + 1
+        ct = cum_t[bt, bj]
+        below = ct < row[:, :1] * np.take_along_axis(ct, m[:, None] - 1, axis=1)
+        n_t = k + (below & (np.arange(k + 1) < m[:, None])).sum(axis=1)
+        n = np.minimum(slots, bj) + 1
+        cj = cum_j[bt, bj]
+        below = cj < row[:, 1:2] * np.take_along_axis(cj, n[:, None] - 1, axis=1)
+        n_j = (below & (np.arange(2 * k) < n[:, None])).sum(axis=1)
+        # stable argsort breaks ties by slot index, as sorted() does
+        packet_slots = np.argsort(row[:, 2: 2 + slots], axis=1, kind="stable")
+        jam_order = np.argsort(row[:, 2 + slots: 2 + 2 * slots], axis=1, kind="stable")
+        jammed = np.empty((live.size, slots), dtype=bool)
+        np.put_along_axis(jammed, jam_order, ranks < n_j[:, None], axis=1)
+        # the packet with t-rank r sits in slot packet_slots[:, r] and reads coin 1 + r
+        hit = np.take_along_axis(jammed, packet_slots, axis=1)
+        pc, pb = p_clear[live], p_blocked[live]
+        coins = row[:, 2 + 2 * slots:]
+        per = np.where(hit, pb[:, None], pc[:, None])
+        delivered = (coins[:, 0] >= pc) + (
+            (coins[:, 1:] >= per) & (ranks < n_t[:, None] - 1)).sum(axis=1)
+        frames[live] += 1
+        bt = bt - n_t
+        bj = bj - n_j
+        b_t[live], b_j[live] = bt, bj
+        l_next = np.where(bt >= k, lmap[bt, bj], 0.0)
+        won = delivered >= k
+        stat[live[won]] += weight[live[won]] / (1.0 + l_next[won])
+        weight[live] *= l_next / (1.0 + l_next)
+    return frames, stat
 
 
 def sensitivity_sweep(table, spec=SensitivitySpec(), seed=DEFAULT_SEED, error_pair=None):

@@ -213,6 +213,11 @@ def _resolve_seed(args):
     return args.seed
 
 
+def _check_runs(runs):
+    if runs < 1:
+        raise ConfigError(f"--runs must be at least 1, got {runs}")
+
+
 def _gamma_label(cfg):
     return "inf" if math.isinf(cfg.horizon) else int(cfg.horizon)
 
@@ -320,6 +325,7 @@ def _cmd_evaluate(args):
 
 
 def _cmd_simulate(args):
+    _check_runs(args.runs)
     cfg = _load_scenario(args)
     seed = _resolve_seed(args)
     table = solver.load_table(args.table)
@@ -330,11 +336,15 @@ def _cmd_simulate(args):
 
 
 def _cmd_sensitivity(args):
+    _check_runs(args.runs)
+    sigmas = tuple(args.sigma) if args.sigma else SensitivitySpec().sigmas
+    for sigma in sigmas:
+        if not (math.isfinite(sigma) and sigma >= 0.0):
+            raise ConfigError(f"--sigma must be a finite nonnegative number, got {sigma}")
     cfg = _load_scenario(args)
     seed = _resolve_seed(args)
     table = solver.load_table(args.table)
     d_jr, mode = _verify_table(table, cfg)
-    sigmas = tuple(args.sigma) if args.sigma else SensitivitySpec().sigmas
     spec = SensitivitySpec(sigmas=sigmas, runs=args.runs)
     rows = [_report_row(cfg, d_jr, result, mode, mode)
             for result in analysis.sensitivity_sweep(table, spec, seed=seed)]

@@ -34,6 +34,7 @@ solves reproducible bit for bit.
 
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -740,26 +741,40 @@ def load_table(path):
     t_probs = np.zeros((config.b_t0 + 1, config.b_j0 + 1, k + 1))
     j_probs = np.zeros((config.b_t0 + 1, config.b_j0 + 1, 2 * k))
     values = np.zeros((config.b_t0 + 1, config.b_j0 + 1))
-    seen = 0
+    expected = max(0, config.b_t0 - k + 1) * (config.b_j0 + 1)
     try:
-        for rec in states:
-            b_t, b_j = rec["b_t"], rec["b_j"]
-            if not (k <= b_t <= config.b_t0 and 0 <= b_j <= config.b_j0):
-                raise TableError(f"{path}: state ({b_t}, {b_j}) outside the grid")
-            strat_t = rec["strat_t"]
-            strat_j = rec["strat_j"]
-            if (len(strat_t) != min(2 * k, b_t) - k + 1
-                    or len(strat_j) != min(2 * k - 1, b_j) + 1):
-                raise TableError(f"{path}: wrong strategy length at ({b_t}, {b_j})")
-            t_probs[b_t, b_j, : len(strat_t)] = strat_t
-            j_probs[b_t, b_j, : len(strat_j)] = strat_j
-            values[b_t, b_j] = rec["value"]
-            seen += 1
+        if len(states) != expected:
+            raise TableError(f"{path}: {len(states)} states, expected {expected}")
+        if expected:
+            # one array per record field, checked and written whole
+            b_t = np.array([rec["b_t"] for rec in states])
+            b_j = np.array([rec["b_j"] for rec in states])
+            if b_t.dtype.kind != "i" or b_j.dtype.kind != "i":
+                raise TypeError("battery levels must be integers")
+            outside = np.flatnonzero((b_t < k) | (b_t > config.b_t0)
+                                     | (b_j < 0) | (b_j > config.b_j0))
+            if outside.size:
+                i = outside[0]
+                raise TableError(f"{path}: state ({b_t[i]}, {b_j[i]}) outside the grid")
+            values[b_t, b_j] = [rec["value"] for rec in states]
+            for target, field, width in (
+                    (t_probs, "strat_t", np.minimum(2 * k, b_t) - k + 1),
+                    (j_probs, "strat_j", np.minimum(2 * k - 1, b_j) + 1)):
+                strats = [rec[field] for rec in states]
+                lengths = np.array([len(strat) for strat in strats])
+                wrong = np.flatnonzero(lengths != width)
+                if wrong.size:
+                    i = wrong[0]
+                    raise TableError(f"{path}: wrong strategy length at ({b_t[i]}, {b_j[i]})")
+                # a boolean mask fills row by row, so record r's entries
+                # land in the first width[r] columns of row r
+                legal = np.arange(target.shape[2]) < width[:, None]
+                rows = np.zeros(legal.shape)
+                rows[legal] = np.fromiter(itertools.chain.from_iterable(strats), float,
+                                          count=int(lengths.sum()))
+                target[b_t, b_j] = rows
     except (KeyError, TypeError, ValueError) as exc:
         raise TableError(f"{path}: malformed state record: {exc}") from None
-    expected = max(0, config.b_t0 - k + 1) * (config.b_j0 + 1)
-    if seen != expected:
-        raise TableError(f"{path}: {seen} states, expected {expected}")
     for arr, label in ((values, "value"), (t_probs, "strat_t"), (j_probs, "strat_j")):
         if not np.isfinite(arr).all():
             raise TableError(f"{path}: {label} holds NaN or infinity")

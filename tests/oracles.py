@@ -9,6 +9,8 @@ acceptance tests certify stored strategies against them. These two
 take the frame payoffs and the legal action sets from the package; only
 backward_induction_reference also shares the single-game LP, because it
 checks how solve_full_game batches and dedupes those games, bit for bit.
+simulate_reference replays Monte Carlo runs one at a time, the loop the
+package's chunked simulator must match exactly.
 """
 
 import itertools
@@ -277,3 +279,84 @@ def fixed_play_reference(config, j_policy, t_policy=None):
             horizon_values[depth + 1:, b_t, b_j] = horizon_values[depth, b_t, b_j]
             t_probs[b_t, b_j, : x.size] = x
     return horizon_values, t_probs
+
+
+def simulate_reference(table, runs, seed, sigma=0.0, error_pair=None):
+    """Monte Carlo replay one run and one frame at a time.
+
+    The per-run loop uwjam.analysis.simulate steps across chunks of
+    runs: each run has its own SeedSequence((seed, run)) substreams and
+    draws a (max_frames, draws) block from its play stream; actions come
+    from searchsorted over the cumulative strategy, slot ranks from
+    sorted() (ties by index), and the packet with t-rank r reads coin
+    1 + r. The lifetime map and the confidence half-width are taken from
+    the package.
+    """
+    from uwjam.analysis import (SimulationResult, _ci_half_width, _lifetime_map,
+                                _subgame_for)
+
+    cfg = table.config
+    k = cfg.k
+    params = _subgame_for(table, error_pair)
+    base_clear, base_blocked = params.p_clear, params.p_blocked
+    slots = 2 * k - 1
+    draws = 2 + 2 * slots + 2 * k
+    max_frames = cfg.b_t0 // k
+    cum_t = np.cumsum(table.t_probs, axis=2)
+    cum_j = np.cumsum(table.j_probs, axis=2)
+    lmap = _lifetime_map(table)
+    lifetimes = np.empty(runs)
+    successes = np.empty(runs)
+    for run in range(runs):
+        root = np.random.SeedSequence((seed, run))
+        perturb_ss, play_ss = root.spawn(2)
+        if sigma > 0.0:
+            perturb = np.random.Generator(np.random.PCG64(perturb_ss))
+            eps = perturb.normal(0.0, sigma, size=2)
+            p_clear = min(1.0, max(0.0, base_clear + eps[0]))
+            p_blocked = min(1.0, max(0.0, base_blocked + eps[1]))
+            p_blocked = max(p_blocked, p_clear)
+        else:
+            p_clear, p_blocked = base_clear, base_blocked
+        play = np.random.Generator(np.random.PCG64(play_ss))
+        u = play.random((max_frames, draws))
+        b_t, b_j = cfg.b_t0, cfg.b_j0
+        frames = 0
+        stat = 0.0
+        weight = 1.0
+        while b_t >= k:
+            row = u[frames]
+            m = min(2 * k, b_t) - k + 1
+            n = min(slots, b_j) + 1
+            ct = cum_t[b_t, b_j]
+            cj = cum_j[b_t, b_j]
+            n_t = k + int(np.searchsorted(ct[:m], row[0] * ct[m - 1], side="left"))
+            n_j = int(np.searchsorted(cj[:n], row[1] * cj[n - 1], side="left"))
+            ut = row[2: 2 + slots]
+            uj = row[2 + slots: 2 + 2 * slots]
+            packet_slots = sorted(range(slots), key=ut.__getitem__)[: n_t - 1]
+            jammed = set(sorted(range(slots), key=uj.__getitem__)[:n_j])
+            coins = row[2 + 2 * slots:]
+            delivered = 1 if coins[0] >= p_clear else 0      # unjammable first copy
+            for pos, slot in enumerate(packet_slots):
+                per = p_blocked if slot in jammed else p_clear
+                if coins[1 + pos] >= per:
+                    delivered += 1
+            frames += 1
+            b_t -= n_t
+            b_j -= n_j
+            l_next = lmap[b_t, b_j] if b_t >= k else 0.0
+            if delivered >= k:
+                stat += weight / (1.0 + l_next)
+            weight *= l_next / (1.0 + l_next)
+        lifetimes[run] = frames
+        successes[run] = stat
+    return SimulationResult(
+        runs=runs,
+        seed=seed,
+        sigma=sigma,
+        mean_lifetime=float(lifetimes.mean()),
+        lifetime_ci=_ci_half_width(lifetimes),
+        success_rate=float(successes.mean()),
+        success_ci=_ci_half_width(successes),
+    )

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +31,8 @@ from uwjam.solver import (
     solve_full_game,
 )
 from uwjam.subgame import expected_success
+
+from oracles import simulate_reference
 
 
 def _cfg(**over):
@@ -184,9 +189,122 @@ def test_ci_half_width():
     samples = np.array([1.0, 2.0, 4.0, 8.0])
     want = scipy.stats.t.ppf(0.975, 3) * samples.std(ddof=1) / 2.0
     assert _ci_half_width(samples) == pytest.approx(want, rel=1e-12)
+    # the quantile comes from scipy.special, bit-equal to scipy.stats
+    for n in (2, 30, 1000, 10_000):
+        samples = np.arange(n, dtype=float) ** 2
+        want = float(scipy.stats.t.ppf(0.975, n - 1) * samples.std(ddof=1) / math.sqrt(n))
+        assert _ci_half_width(samples) == want
 
 
 def test_simulation_result_frozen(ne_table):
     res = simulate(ne_table, runs=10, seed=2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         res.runs = 5
+
+
+def test_import_keeps_scipy_out():
+    # scipy.stats costs ~1.4 s and ~70 MB at import; only the Monte Carlo
+    # confidence interval needs scipy, and it imports it when called
+    import uwjam
+
+    src = os.path.dirname(os.path.dirname(uwjam.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, uwjam; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# chunked simulator against the per-run reference
+
+
+class _QuarterGenerator(np.random.Generator):
+    """Uniforms rounded down to quarters: slot keys tie, action picks land
+    exactly on cumulative probabilities, and coins equal the PERs."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        u = super().random(size, dtype, out)
+        np.floor(u * 4.0, out=u)
+        u /= 4.0
+        return u
+
+
+def _quarter_play(state):
+    # n_t from 2 up to what the battery allows, in quarters
+    if state.b_t == 2:
+        return 2
+    if state.b_t == 3:
+        return MixedStrategy((2, 3), (0.5, 0.5))
+    return MixedStrategy((2, 3, 4), (0.25, 0.25, 0.5))
+
+
+def _quarter_jam(state):
+    n_j = tuple(range(min(3, state.b_j) + 1))
+    probs = {1: (1.0,), 2: (0.5, 0.5), 3: (0.25, 0.25, 0.5), 4: (0.25,) * 4}[len(n_j)]
+    return MixedStrategy(n_j, probs)
+
+
+_MC_TABLES = {
+    "ne": lambda: solve_full_game(_cfg()),
+    "k1": lambda: solve_full_game(_cfg(k=1, b_t0=9, b_j0=4, horizon=2)),
+    "k4": lambda: solve_full_game(_cfg(k=4, b_t0=30, b_j0=20, horizon=2)),
+    "bj0": lambda: solve_full_game(_cfg(b_t0=11, b_j0=0)),
+    "per00": lambda: solve_full_game(_cfg(p_clear=0.0, p_blocked=0.0)),
+    "per01": lambda: solve_full_game(_cfg(p_clear=0.0, p_blocked=1.0)),
+    "per11": lambda: solve_full_game(_cfg(p_clear=1.0, p_blocked=1.0)),
+    "pure": lambda: fixed_policy_table(_cfg(b_t0=13), lambda s: min(3, s.b_t),
+                                       lambda s: min(1, s.b_j)),
+    "quarters": lambda: fixed_policy_table(_cfg(b_t0=14, b_j0=8, p_clear=0.25, p_blocked=0.75),
+                                           _quarter_play, _quarter_jam),
+}
+
+
+@pytest.fixture(scope="module")
+def mc_tables():
+    return {name: build() for name, build in _MC_TABLES.items()}
+
+
+@pytest.mark.parametrize("name, runs, sigma, error_pair", [
+    # across the chunk edges
+    *[("ne", runs, 0.0, None) for runs in (1, 2, 1023, 1024, 1025, 2500)],
+    ("ne", 1025, 0.1, None),
+    ("ne", 1025, 0.6, None),           # clamps at 0 and 1 are hit
+    ("k1", 400, 0.0, None),            # a single slot
+    ("k1", 400, 0.6, None),
+    ("k4", 300, 0.0, None),
+    ("k4", 300, 0.1, None),
+    ("bj0", 300, 0.0, None),
+    ("per00", 300, 0.0, None),
+    ("per01", 300, 0.0, None),
+    ("per11", 300, 0.6, None),
+    ("ne", 300, 0.0, (0.7, 0.2)),      # a true pair below the clear PER
+    ("ne", 300, 0.1, (0.0, 1.0)),
+    ("pure", 300, 0.0, None),
+    ("pure", 300, 0.1, (0.3, 0.9)),
+])
+def test_simulate_equals_per_run_reference(mc_tables, name, runs, sigma, error_pair):
+    table = mc_tables[name]
+    got = simulate(table, runs, seed=11, sigma=sigma, error_pair=error_pair)
+    assert got == simulate_reference(table, runs, seed=11, sigma=sigma, error_pair=error_pair)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.6])
+def test_simulate_equals_reference_on_ties(mc_tables, monkeypatch, sigma):
+    # quartered uniforms make equal slot keys, so slot ranks must break
+    # ties by index; action picks and coins hit their thresholds exactly
+    monkeypatch.setattr(np.random, "Generator", _QuarterGenerator)
+    for name in ("quarters", "ne", "k4"):
+        table = mc_tables[name]
+        assert simulate(table, 1500, seed=3, sigma=sigma) == simulate_reference(
+            table, 1500, seed=3, sigma=sigma), name
+
+
+def test_sensitivity_sweep_equals_reference(mc_tables):
+    table = mc_tables["k4"]
+    spec = SensitivitySpec(sigmas=(0.0, 0.05, 0.6), runs=1100)
+    rows = sensitivity_sweep(table, spec=spec, seed=5, error_pair=(0.1, 0.8))
+    assert rows == [simulate_reference(table, 1100, seed=5, sigma=s, error_pair=(0.1, 0.8))
+                    for s in spec.sigmas]

@@ -639,3 +639,56 @@ def test_load_rejects_non_finite_entries(tmp_path, small_game, field, index, bad
     path.write_text(json.dumps(doc))
     with pytest.raises(TableError, match="NaN or infinity"):
         load_table(path)
+
+
+def _resum(doc):
+    payload = json.dumps(doc["states"], sort_keys=True, separators=(",", ":")).encode()
+    doc["checksum"] = hashlib.sha256(payload).hexdigest()
+    return doc
+
+
+def _edit(field, bad):
+    def edit(states):
+        states[5][field] = bad
+    return edit
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_edit("b_t", 9), "outside the grid"),
+    (_edit("b_t", 1), "outside the grid"),
+    (_edit("b_j", -1), "outside the grid"),
+    (lambda s: s[5]["strat_t"].append(0.0), "wrong strategy length"),
+    (lambda s: s[5]["strat_j"].pop(), "wrong strategy length"),
+    (lambda s: s.pop(), "states, expected"),
+    (lambda s: s.append(dict(s[0])), "states, expected"),
+    (lambda s: s[5].pop("value"), "malformed"),
+    (_edit("b_t", 2.0), "malformed"),
+    (_edit("b_j", "3"), "malformed"),
+    (_edit("value", "high"), "malformed"),
+    (_edit("strat_j", 7), "malformed"),
+    (lambda s: s[5]["strat_t"].__setitem__(0, [1.0]), "malformed"),
+    (lambda s: s.__setitem__(5, [1, 2]), "malformed"),
+])
+def test_load_rejects_bad_records(tmp_path, small_game, edit, match):
+    _, table = small_game
+    path = tmp_path / "table.json"
+    export_table(table, path)
+    doc = json.loads(path.read_text())
+    edit(doc["states"])
+    # recompute the checksum so only the record checks can fire
+    path.write_text(json.dumps(_resum(doc)))
+    with pytest.raises(TableError, match=match):
+        load_table(path)
+
+
+def test_load_ignores_record_order(tmp_path, small_game):
+    _, table = small_game
+    path = tmp_path / "table.json"
+    export_table(table, path)
+    doc = json.loads(path.read_text())
+    doc["states"].reverse()
+    path.write_text(json.dumps(_resum(doc)))
+    loaded = load_table(path)
+    np.testing.assert_array_equal(loaded.values, table.values)
+    np.testing.assert_array_equal(loaded.t_probs, table.t_probs)
+    np.testing.assert_array_equal(loaded.j_probs, table.j_probs)
