@@ -22,7 +22,7 @@ from .solver import (GameConfig, GameState, MixedStrategy, StrategyTable,
                      fixed_policy_table, is_terminal, load_table,
                      solve_full_game, solve_matrix_game,
                      solve_vs_fixed_jammer)
-from .subgame import (ActionPair, SubgameParams, blocked_count_distribution,
+from .subgame import (SubgameParams, blocked_count_distribution,
                       expected_success, payoff_matrix, subgame_payoff,
                       success_given_blocked, success_matrix)
 

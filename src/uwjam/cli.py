@@ -277,12 +277,12 @@ def _cmd_per_sweep(args):
     return 0
 
 
-def _solve_one(cfg, d_jr):
-    game_cfg = game_config_for(cfg, d_jr)
+def _solve_one(game_cfg, distances):
     t0 = time.perf_counter()
     table = solver.solve_full_game(game_cfg)
     elapsed = time.perf_counter() - t0
-    _log(f"solved d_jr={d_jr:g} m: {table.n_states} states in {elapsed:.1f}s, "
+    label = ", ".join(f"{d:g}" for d in distances)
+    _log(f"solved d_jr={label} m: {table.n_states} states in {elapsed:.1f}s, "
          f"initial value {table.value(game_cfg.initial_state):.6f}")
     return table
 
@@ -293,17 +293,23 @@ def _cmd_solve(args):
         if args.out_dir is None:
             raise ConfigError("--sweep requires --out-dir")
         os.makedirs(args.out_dir, exist_ok=True)
+        # distances whose PER pairs coincide play the same game: solve it
+        # once, one table in memory at a time
+        sweep = {}
         for d in cfg.sweep:
-            table = _solve_one(cfg, d)
-            path = os.path.join(args.out_dir, f"table_djr{d:g}m.json")
-            solver.export_table(table, path, meta={"d_jr": d, "per_mode": cfg.per_mode})
-            _log(f"wrote {path}")
+            sweep.setdefault(game_config_for(cfg, d), []).append(d)
+        for game_cfg, distances in sweep.items():
+            table = _solve_one(game_cfg, distances)
+            for d in distances:
+                path = os.path.join(args.out_dir, f"table_djr{d:g}m.json")
+                solver.export_table(table, path, meta={"d_jr": d, "per_mode": cfg.per_mode})
+                _log(f"wrote {path}")
         return 0
     if cfg.d_jr is None:
         raise ConfigError("no jammer distance: pass --d-jr or set d_jr in the config")
     if args.out is None:
         raise ConfigError("solve requires --out (or --sweep with --out-dir)")
-    table = _solve_one(cfg, cfg.d_jr)
+    table = _solve_one(game_config_for(cfg, cfg.d_jr), [cfg.d_jr])
     solver.export_table(table, args.out, meta={"d_jr": cfg.d_jr, "per_mode": cfg.per_mode})
     _log(f"wrote {args.out}")
     return 0

@@ -15,7 +15,10 @@ floor(b_t / k) further frames, horizon values are constant in gamma past
 that depth, which caps the work per state. Likewise the jammer cannot
 spend more than gamma(2k-1) quanta within gamma frames, so every b_j
 above that cap shares the stage matrix of the cap and takes its
-solution instead of being solved again. A frame costs at least k
+solution instead of being solved again. The transmitter cap mirrors it:
+gamma frames cost at most 2k gamma quanta, so the gamma-frame values
+repeat at every b_t >= 2k gamma and those levels copy the level below
+instead of solving again. A frame costs at least k
 quanta, so the k levels qk .. qk+k-1 depend only on levels below qk and
 are solved as one block. The transmitter's best response to a fixed
 jammer, the values of fixed play and the lifetime and success
@@ -218,6 +221,9 @@ _SIMPLEX_MAX_ITER = 5000
 # instances pivoted together: a chunk's tableau stays in cache between
 # rounds, which outweighs the per-round overhead of more, smaller loops
 _SIMPLEX_CHUNK = 1024
+# fills the non-tied rows of the ratio test, so argmin picks the tied row
+# with the lowest basic variable
+_NO_ROW = np.iinfo(np.int64).max
 
 
 def _minimax_batch(matrices):
@@ -303,7 +309,7 @@ def _pivot_to_optimum(D, basis):
         ratio = np.where(pos, Da[:, :m, nv + 1] / np.where(pos, pc, 1.0), np.inf)
         rmin = ratio.min(axis=1)
         tie = pos & (ratio <= rmin[:, None] * (1.0 + 1e-12))
-        i = np.where(tie, Ba, np.iinfo(np.int64).max).argmin(axis=1)
+        i = np.where(tie, Ba, _NO_ROW).argmin(axis=1)
         piv = Da[ar, i, :] / pc[ar, i][:, None]
         Da -= col[:, :, None] * piv[:, None, :]
         Da[ar, i, :] = piv
@@ -441,18 +447,20 @@ def _next_values(grid, k, safe_bt, alive):
     return np.where(alive[:, None, :, None], nxt, 0.0)
 
 
-def _store(horizon_values, values, rows, cols, by_depth):
+def _store(horizon_values, values, rows, cols, by_depth, first=1):
     """Write a block's values for lookahead depths 1 .. depth.
 
-    by_depth (depth, levels, columns) lands at b_t slice rows and b_j
-    slice cols. The game cannot outlast depth frames from there, so every
-    deeper lookahead repeats the last depth, which is also the deployed
-    value.
+    Depths 1 .. first-1 repeat the level just below b_t slice rows.
+    by_depth (depth - first + 1, levels, columns) holds the solved depths
+    first .. depth and lands at rows and b_j slice cols. The game cannot
+    outlast depth frames from there, so every deeper lookahead repeats
+    the last depth, which is also the deployed value.
     """
-    depth = len(by_depth)
-    horizon_values[1: depth + 1, rows, cols] = by_depth
-    horizon_values[depth + 1:, rows, cols] = by_depth[-1]
-    values[rows, cols] = by_depth[-1]
+    depth = first - 1 + len(by_depth)
+    horizon_values[1:first, rows, cols] = horizon_values[1:first, rows.start - 1, None, cols]
+    horizon_values[first: depth + 1, rows, cols] = by_depth
+    horizon_values[depth + 1:, rows, cols] = horizon_values[depth, rows, cols]
+    values[rows, cols] = horizon_values[depth, rows, cols]
 
 
 def _column_groups(k, b_j0, g_store):
@@ -499,6 +507,12 @@ def solve_full_game(config):
     simplex as one batch. The deployed strategy and value at a state
     are those of the receding-horizon matrix; horizon values for all
     shallower gamma are stored alongside.
+
+    The transmitter cannot spend more than 2k gamma quanta within gamma
+    frames either, so the gamma-frame games at every b_t >= 2k gamma are
+    those of b_t = 2k gamma: a block copies such depths from the level
+    below it and solves only the deeper ones. Where that covers the
+    deployed depth as well, the block copies the level below whole.
     """
     k = config.k
     b_t0, b_j0 = config.b_t0, config.b_j0
@@ -513,10 +527,20 @@ def solve_full_game(config):
     for lo, hi, m, safe_bt, alive in _levels(k, b_t0):
         levels = hi - lo
         depth = min(g_store, lo // k)
+        # depths 1 .. low are capped at level lo - 1 already
+        low = min(depth, (lo - 1) // (2 * k))
+        if low == depth:
+            # then depth is g_store, which level lo - 1 deploys too
+            _store(horizon_values, values, slice(lo, hi), slice(None),
+                   np.empty((0, levels, b_j0 + 1)), depth + 1)
+            t_probs[lo:hi] = t_probs[lo - 1]
+            j_probs[lo:hi] = j_probs[lo - 1]
+            continue
         for b_js, n, pair_depth, pair_bj, offsets, expand in groups:
-            pairs = offsets[depth]
-            succ_bj = pair_bj[:pairs, None] - np.arange(n)
-            cont = horizon_values[pair_depth[None, :pairs, None, None],
+            start, stop = offsets[low], offsets[depth]
+            pairs = stop - start
+            succ_bj = pair_bj[start:stop, None] - np.arange(n)
+            cont = horizon_values[pair_depth[None, start:stop, None, None],
                                   safe_bt[:, None, :, None],
                                   succ_bj[None, :, None, :]]
             cont = np.where(alive[:, None, :, None], cont, 0.0)
@@ -524,8 +548,8 @@ def solve_full_game(config):
             vals, rows, colstrats = _minimax_batch(stage.reshape(-1, m, n))
             vals = vals.reshape(levels, pairs)
             _store(horizon_values, values, slice(lo, hi), b_js,
-                   vals[:, expand[:depth]].transpose(1, 0, 2))
-            deployed = expand[depth - 1]
+                   vals[:, expand[low:depth] - start].transpose(1, 0, 2), low + 1)
+            deployed = expand[depth - 1] - start
             t_probs[lo:hi, b_js, :m] = rows.reshape(levels, pairs, m)[:, deployed]
             j_probs[lo:hi, b_js, :n] = colstrats.reshape(levels, pairs, n)[:, deployed]
     return StrategyTable(config, t_probs, j_probs, values, horizon_values)

@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "SubgameParams",
-    "ActionPair",
     "blocked_count_distribution",
     "success_given_blocked",
     "expected_success",
@@ -58,14 +57,6 @@ class SubgameParams:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class ActionPair:
-    """One joint action: packets sent and slots jammed in a frame."""
-
-    n_t: int
-    n_j: int
 
 
 def _check_actions(k, n_t, n_j):

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import uwjam.solver
 from uwjam.cli import DEFAULT_SWEEP, REPORT_COLUMNS, ScenarioConfig, main
 from uwjam.errors import ConfigError
 from uwjam.solver import export_table, load_table
@@ -112,6 +113,27 @@ def test_solve_sweep_writes_one_table_per_distance(tables_dir):
     assert names == ["table_djr50m.json", "table_djr60m.json"]
     for name in names:
         load_table(tables_dir / name)
+
+
+def test_solve_sweep_solves_each_distinct_game_once(tmp_path, monkeypatch):
+    # the coded model saturates both PERs at several far distances, so
+    # the 17 default sweep distances give 14 distinct games
+    path = tmp_path / "coded.json"
+    path.write_text(json.dumps({**SMALL_SCENARIO, "sweep": list(DEFAULT_SWEEP),
+                                "per_mode": "coded"}))
+    calls = []
+    real = uwjam.solver.solve_full_game
+    monkeypatch.setattr(uwjam.solver, "solve_full_game",
+                        lambda cfg: calls.append(cfg) or real(cfg))
+    out = tmp_path / "sweep"
+    assert main(["solve", "--config", str(path), "--sweep", "--out-dir", str(out)]) == 0
+    assert len(calls) == len(set(calls)) == 14
+    assert len(list(out.iterdir())) == len(DEFAULT_SWEEP)
+    for d in DEFAULT_SWEEP:
+        single = tmp_path / "single.json"
+        assert main(["solve", "--config", str(path), "--d-jr", f"{d:g}",
+                     "--out", str(single)]) == 0
+        assert (out / f"table_djr{d:g}m.json").read_bytes() == single.read_bytes(), d
 
 
 def test_inspect_table(tables_dir, capsys):

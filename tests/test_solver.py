@@ -332,6 +332,17 @@ def test_unjammable_game_is_pure_minimum_send():
         assert st.prob_of(2) == pytest.approx(1.0, abs=1e-12), state
 
 
+# configs where the transmitter's 2kg spending cap copies levels: every
+# block from b_t = 3k on (gamma = 1), several capped depths (k = 1), and an
+# infinite horizon whose depth grows with b_t
+TRANSMITTER_CAPPED = [
+    GameConfig(k=2, b_t0=13, b_j0=7, alpha=0.4, p_clear=0.1, p_blocked=0.7, horizon=1),
+    GameConfig(k=1, b_t0=20, b_j0=8, alpha=0.4, p_clear=0.1, p_blocked=0.7, horizon=6),
+    GameConfig(k=2, b_t0=20, b_j0=9, alpha=0.4, p_clear=0.05, p_blocked=0.6,
+               horizon=math.inf, discount=0.9),
+]
+
+
 @pytest.mark.parametrize("cfg", [
     # b_j0 below, between and above the jammer's g(2k-1) spending caps
     GameConfig(k=1, b_t0=9, b_j0=0, alpha=0.4, p_clear=0.1, p_blocked=0.7, horizon=3),
@@ -345,6 +356,7 @@ def test_unjammable_game_is_pure_minimum_send():
                horizon=math.inf, discount=0.9),
     GameConfig(k=3, b_t0=13, b_j0=24, alpha=0.4, p_clear=0.05, p_blocked=0.6,
                horizon=math.inf, discount=0.9),
+    *TRANSMITTER_CAPPED,
 ], ids=lambda c: f"k{c.k}-bj{c.b_j0}-h{c.horizon}")
 def test_solve_full_game_matches_per_state_reference(cfg):
     table = solve_full_game(cfg)
@@ -355,11 +367,28 @@ def test_solve_full_game_matches_per_state_reference(cfg):
         assert g.tobytes() == w.tobytes(), name
 
 
+@pytest.mark.parametrize("cfg", TRANSMITTER_CAPPED,
+                         ids=lambda c: f"k{c.k}-bt{c.b_t0}-h{c.horizon}")
+def test_horizon_values_repeat_above_transmitter_cap(cfg):
+    # g frames spend at most 2kg quanta, so a larger battery changes no
+    # g-frame value; checked on the uncapped reference and on the solver
+    ref_values = oracles.backward_induction_reference(cfg)[0]
+    k = cfg.k
+    capped = 0
+    for hv in (ref_values, solve_full_game(cfg).horizon_values):
+        for g in range(1, hv.shape[0]):
+            for x in range(2 * k * g, cfg.b_t0 + 1):
+                assert hv[g, x].tobytes() == hv[g, 2 * k * g].tobytes(), (g, x)
+                capped += 1
+    assert capped
+
+
 @pytest.mark.parametrize("cfg", [
     GameConfig(k=3, b_t0=40, b_j0=60, alpha=0.4, p_clear=0.05, p_blocked=0.6, horizon=6),
     GameConfig(k=2, b_t0=15, b_j0=2, alpha=0.4, p_clear=0.05, p_blocked=0.6, horizon=3),
     GameConfig(k=4, b_t0=50, b_j0=40, alpha=0.4, p_clear=0.05, p_blocked=0.6,
                horizon=math.inf, discount=0.9),
+    GameConfig(k=4, b_t0=200, b_j0=200, alpha=0.4, p_clear=0.05, p_blocked=0.6, horizon=1),
 ], ids=lambda c: f"k{c.k}-bj{c.b_j0}")
 def test_solve_full_game_solves_each_capped_game_once(cfg, monkeypatch):
     seen = {"calls": 0, "instances": 0}
@@ -373,19 +402,25 @@ def test_solve_full_game_solves_each_capped_game_once(cfg, monkeypatch):
     monkeypatch.setattr(uwjam.solver, "_minimax_batch", counting)
     solve_full_game(cfg)
     k, full = cfg.k, 2 * cfg.k - 1
-    want = 0
-    for b_t in range(k, cfg.b_t0 + 1):
-        depth = min(cfg.effective_horizon(), b_t // k)
+    # level blocks (first level, level count): levels k .. 2k-1 alone,
+    # then blocks of k levels
+    blocks = [(b_t, 1) for b_t in range(k, min(2 * k, cfg.b_t0 + 1))]
+    blocks += [(lo, min(k, cfg.b_t0 + 1 - lo)) for lo in range(2 * k, cfg.b_t0 + 1, k)]
+    want, solved = 0, 0
+    for lo, levels in blocks:
+        depth = min(cfg.effective_horizon(), lo // k)
+        # a depth g the transmitter cannot exhaust from level lo - 1
+        # (2kg <= lo - 1) repeats that level and is not solved
+        low = min(depth, (lo - 1) // (2 * k))
+        solved += low < depth
         # truncated columns b_j < 2k-1 at every depth, then the full-width
         # columns up to the jammer's spending cap g(2k-1) at depth g
-        want += depth * min(full, cfg.b_j0 + 1)
-        want += sum(max(0, min(cfg.b_j0, g * full) - full + 1) for g in range(1, depth + 1))
+        want += levels * sum(min(full, cfg.b_j0 + 1) + max(0, min(cfg.b_j0, g * full) - full + 1)
+                             for g in range(low + 1, depth + 1))
     assert seen["instances"] == want
-    # one call per column group and level block: levels k .. 2k-1 alone,
-    # then blocks of k levels
-    blocks = k + len(range(2 * k, cfg.b_t0 + 1, k))
+    # one call per column group and block with a depth left to solve
     groups = min(full, cfg.b_j0 + 1) + (cfg.b_j0 >= full)
-    assert seen["calls"] == blocks * groups
+    assert seen["calls"] == solved * groups
 
 
 def test_table_state_bounds_checks(small_game):
