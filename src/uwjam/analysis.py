@@ -263,56 +263,78 @@ def simulate(table, runs, seed=DEFAULT_SEED, sigma=0.0, error_pair=None):
         defaults to the solve-time pair
     :returns: :class:`SimulationResult`
     """
+    return _simulate(table, runs, seed, (sigma,), error_pair)[0]
+
+
+def _simulate(table, runs, seed, sigmas, error_pair):
+    """One :class:`SimulationResult` per sigma, all from the same runs.
+
+    A run's play uniforms do not depend on sigma, so each chunk draws
+    them once and plays every sigma from them; only one chunk's
+    uniforms are held, whatever the number of sigmas.
+    """
     if runs < 1:
         raise ValueError("need at least one run")
-    if sigma < 0:
+    if any(sigma < 0 for sigma in sigmas):
         raise ValueError("sigma must be nonnegative")
     params = _subgame_for(table, error_pair)
     cum_t = np.cumsum(table.t_probs, axis=2)
     cum_j = np.cumsum(table.j_probs, axis=2)
     lmap = _lifetime_map(table)
-    lifetimes = np.empty(runs)
-    successes = np.empty(runs)
+    lifetimes = np.empty((len(sigmas), runs))
+    successes = np.empty((len(sigmas), runs))
     for start in range(0, runs, _CHUNK):
         stop = min(start + _CHUNK, runs)
-        lifetimes[start:stop], successes[start:stop] = _play_chunk(
-            table.config, cum_t, cum_j, lmap, params, seed, sigma, range(start, stop))
-    return SimulationResult(
+        chunk = range(start, stop)
+        u = _play_uniforms(table.config, seed, chunk)
+        for i, sigma in enumerate(sigmas):
+            lifetimes[i, start:stop], successes[i, start:stop] = _play_chunk(
+                table.config, cum_t, cum_j, lmap, u, *_channel(params, seed, sigma, chunk))
+    return [SimulationResult(
         runs=runs,
         seed=seed,
         sigma=sigma,
-        mean_lifetime=float(lifetimes.mean()),
-        lifetime_ci=_ci_half_width(lifetimes),
-        success_rate=float(successes.mean()),
-        success_ci=_ci_half_width(successes),
-    )
+        mean_lifetime=float(lifetimes[i].mean()),
+        lifetime_ci=_ci_half_width(lifetimes[i]),
+        success_rate=float(successes[i].mean()),
+        success_ci=_ci_half_width(successes[i]),
+    ) for i, sigma in enumerate(sigmas)]
 
 
-def _play_chunk(cfg, cum_t, cum_j, lmap, params, seed, sigma, runs):
-    """Lifetimes and success statistics of the given run numbers."""
-    k = cfg.k
-    slots = 2 * k - 1
+def _play_uniforms(cfg, seed, runs):
+    """Each run's (frames, draws) block of uniforms from its play stream."""
     # fixed draw budget per frame: 2 action picks, 2 slot permutations,
     # up to 2k packet coins
-    draws = 2 + 2 * slots + 2 * k
-    size = len(runs)
-    u = np.empty((size, cfg.b_t0 // k, draws))
-    eps = np.empty((size, 2))
+    draws = 2 + 2 * (2 * cfg.k - 1) + 2 * cfg.k
+    u = np.empty((len(runs), cfg.b_t0 // cfg.k, draws))
     for i, run in enumerate(runs):
-        # the two children SeedSequence((seed, run)).spawn(2) would give,
-        # built directly: perturbation first, play second
-        if sigma > 0.0:
-            perturb_ss = np.random.SeedSequence((seed, run), spawn_key=(0,))
-            eps[i] = np.random.Generator(np.random.PCG64(perturb_ss)).normal(0.0, sigma, size=2)
+        # the second of the two children SeedSequence((seed, run)).spawn(2)
+        # would give, built directly
         play_ss = np.random.SeedSequence((seed, run), spawn_key=(1,))
         np.random.Generator(np.random.PCG64(play_ss)).random(out=u[i])
-    if sigma > 0.0:
-        p_clear = np.clip(params.p_clear + eps[:, 0], 0.0, 1.0)
-        p_blocked = np.maximum(np.clip(params.p_blocked + eps[:, 1], 0.0, 1.0), p_clear)
-    else:
-        p_clear = np.full(size, params.p_clear, dtype=float)
-        p_blocked = np.full(size, params.p_blocked, dtype=float)
+    return u
 
+
+def _channel(params, seed, sigma, runs):
+    """Per-run (p_clear, p_blocked) the channel applies at sigma."""
+    p_clear = np.full(len(runs), params.p_clear, dtype=float)
+    p_blocked = np.full(len(runs), params.p_blocked, dtype=float)
+    if sigma > 0.0:
+        eps = np.empty((len(runs), 2))
+        for i, run in enumerate(runs):
+            # the first child of SeedSequence((seed, run)), as above
+            perturb_ss = np.random.SeedSequence((seed, run), spawn_key=(0,))
+            eps[i] = np.random.Generator(np.random.PCG64(perturb_ss)).normal(0.0, sigma, size=2)
+        p_clear = np.clip(p_clear + eps[:, 0], 0.0, 1.0)
+        p_blocked = np.maximum(np.clip(p_blocked + eps[:, 1], 0.0, 1.0), p_clear)
+    return p_clear, p_blocked
+
+
+def _play_chunk(cfg, cum_t, cum_j, lmap, u, p_clear, p_blocked):
+    """Lifetimes and success statistics of the runs whose uniforms are u."""
+    k = cfg.k
+    slots = 2 * k - 1
+    size = u.shape[0]
     b_t = np.full(size, cfg.b_t0)
     b_j = np.full(size, cfg.b_j0)
     frames = np.zeros(size)
@@ -360,11 +382,11 @@ def _play_chunk(cfg, cum_t, cum_j, lmap, params, seed, sigma, runs):
 
 
 def sensitivity_sweep(table, spec=SensitivitySpec(), seed=DEFAULT_SEED, error_pair=None):
-    """Run :func:`simulate` once per sigma in the spec.
+    """What :func:`simulate` gives at each sigma in the spec, in order.
 
     Strategies stay those solved under the unperturbed model; only the
     PERs the channel applies move. Lifetimes are identical across sigmas
-    by construction, which isolates the success-rate sensitivity.
+    by construction, which isolates the success-rate sensitivity. Each
+    chunk of runs draws its play uniforms once for the whole sweep.
     """
-    return [simulate(table, spec.runs, seed=seed, sigma=sigma, error_pair=error_pair)
-            for sigma in spec.sigmas]
+    return _simulate(table, spec.runs, seed, spec.sigmas, error_pair)

@@ -363,21 +363,28 @@ def _cmd_mismatch(args):
     solve_model = args.solve_model
     true_model = args.true_model
     distances = [cfg.d_jr] if cfg.d_jr is not None else list(cfg.sweep)
-    rows = []
-    for d_jr in distances:
-        true_pair = resolve_error_model(cfg, d_jr, true_model)
+    # non-strategic jammer baseline: T best-responds under the true
+    # channel, J blindly spends k + 1 quanta per frame
+    model = true_model if solve_model == "dummy" else solve_model
+    # distances whose solve-side PER pairs coincide play the same game:
+    # solve it once, one table in memory at a time
+    groups = {}
+    true_pairs = []
+    for i, d_jr in enumerate(distances):
+        true_pairs.append(resolve_error_model(cfg, d_jr, true_model))
+        groups.setdefault(game_config_for(cfg, d_jr, model), []).append(i)
+    rows = [None] * len(distances)
+    for game_cfg, indices in groups.items():
         if solve_model == "dummy":
-            # non-strategic jammer baseline: T best-responds under the
-            # true channel, J blindly spends k + 1 quanta per frame
-            game_cfg = game_config_for(cfg, d_jr, true_model)
             table = solver.solve_vs_fixed_jammer(game_cfg)
         else:
-            game_cfg = game_config_for(cfg, d_jr, solve_model)
             table = solver.solve_full_game(game_cfg)
-        report = analysis.mismatch_evaluation(table, true_pair)
-        rows.append(_report_row(cfg, d_jr, report, solve_model, true_model))
-        _log(f"mismatch d_jr={d_jr:g} m: lifetime {report.lifetime:.2f}, "
-             f"success {report.success:.4f}")
+        for i in indices:
+            d_jr = distances[i]
+            report = analysis.mismatch_evaluation(table, true_pairs[i])
+            rows[i] = _report_row(cfg, d_jr, report, solve_model, true_model)
+            _log(f"mismatch d_jr={d_jr:g} m: lifetime {report.lifetime:.2f}, "
+                 f"success {report.success:.4f}")
     _write_csv(args.out, REPORT_COLUMNS, rows, cfg)
     return 0
 

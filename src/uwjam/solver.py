@@ -41,6 +41,7 @@ import itertools
 import json
 import math
 import os
+import re
 import uuid
 from dataclasses import dataclass
 
@@ -694,6 +695,59 @@ def _checksum(states_payload):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+# The members of a record whose order in the compact text export_table
+# writes (b_t, b_j, strat_t, strat_j, value) differs from the sorted-key
+# text _checksum hashes (b_j, b_t, strat_j, strat_t, value)
+_SWAPPED_MEMBERS = re.compile(
+    r'("b_t":\d+,)("b_j":\d+,)("strat_t":\[[^\]]*\],)("strat_j":\[[^\]]*\],)')
+# characters of states text rewritten at a time
+_BLOCK = 1 << 20
+
+
+def _canonical_digest(text, start, stop):
+    """(checksum, records rewritten) of the compact states text
+    text[start:stop].
+
+    Swapping the two member pairs of every record turns the text into
+    the canonical text :func:`_checksum` encodes, so no float is encoded
+    again. It goes about ``_BLOCK`` characters at a time, cut between
+    records, so the pieces it is split into stay small.
+    """
+    digest = hashlib.sha256()
+    records = 0
+    while start < stop:
+        # just past the closing brace of a record, or at stop
+        end = text.find("},", start + _BLOCK, stop) + 1 or stop
+        parts = _SWAPPED_MEMBERS.split(text[start:end])
+        parts[1::5], parts[2::5], parts[3::5], parts[4::5] = (
+            parts[2::5], parts[1::5], parts[4::5], parts[3::5])
+        digest.update("".join(parts).encode())
+        records += len(parts) // 5
+        start = end
+    return digest.hexdigest(), records
+
+
+def _tail(meta):
+    """The text export_table writes after the states list."""
+    if meta is None:
+        return "}\n"
+    return ',"meta":' + json.dumps(meta, separators=(",", ":")) + "}\n"
+
+
+def _file_digest(text):
+    """(checksum, tail) read from the text of a file laid out as
+    export_table writes it, or None where no states list is found."""
+    start = text.find('"states":[')
+    if start < 0:
+        return None
+    start += len('"states":')
+    # records hold no nested objects, so the first "}]" closes the list
+    end = start if text.startswith("[]", start) else text.find("}]", start)
+    if end < 0:
+        return None
+    return _canonical_digest(text, start, end + 2)[0], text[end + 2:]
+
+
 def export_table(table, path, meta=None):
     """Write a strategy table as versioned JSON.
 
@@ -701,25 +755,31 @@ def export_table(table, path, meta=None):
     round-trip form, so identical tables produce identical bytes. A
     sha256 checksum over the state records guards against truncation.
 
+    The state records are encoded once. The checksum's canonical
+    (sorted-key) text is derived from that encoding by reordering record
+    members, and the header, the states text and the meta tail are
+    written in pieces, so no second copy of the document is built. The
+    bytes equal ``json.dumps(doc, separators=(",", ":"))`` plus a
+    newline.
+
     :param meta: optional JSON-serializable dict of caller context
         (for example the jammer distance a table was solved at)
 
     The file is replaced in one step: a failed export leaves any earlier
     file at path untouched and no partial file behind.
     """
-    states = _states_payload(table)
-    doc = {
+    # the records are dropped once encoded: the text holds them compactly
+    states_text = json.dumps(_states_payload(table), separators=(",", ":"))
+    checksum, records = _canonical_digest(states_text, 0, len(states_text))
+    if records != table.n_states:
+        checksum = _checksum(json.loads(states_text))
+    head = json.dumps({
         "format": TABLE_FORMAT,
         "version": TABLE_VERSION,
         "config": table.config.to_dict(),
-        "checksum": _checksum(states),
-        "states": states,
-    }
-    if meta is None:
-        meta = table.meta
-    if meta is not None:
-        doc["meta"] = meta
-    text = json.dumps(doc, separators=(",", ":"))
+        "checksum": checksum,
+    }, separators=(",", ":"))
+    tail = _tail(table.meta if meta is None else meta)
     # write beside the target and rename over it, so a failed write
     # leaves the previous file as it was
     directory, name = os.path.split(os.fspath(path))
@@ -727,8 +787,10 @@ def export_table(table, path, meta=None):
     fh = open(tmp, "x")
     try:
         with fh:
-            fh.write(text)
-            fh.write("\n")
+            fh.write(head[:-1])
+            fh.write(',"states":')
+            fh.write(states_text)
+            fh.write(tail)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -743,12 +805,23 @@ def load_table(path):
     failure, NaN or infinite entries, or strategy rows that are not
     probability distributions.
     The loaded table carries deployed strategies and values only.
+
+    The checksum is read from the file's own text: before parsing, the
+    states text is turned into the canonical text by the same member
+    reordering export_table uses, and hashed. That hash settles the
+    check when the rest of the file is exactly what export_table writes
+    around it. Otherwise (other whitespace, key order or float spelling)
+    the parsed records are encoded again and hashed, so such a file
+    still loads and a corrupt one still fails.
     """
     with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise TableError(f"{path}: not a valid table file: {exc}") from None
+        text = fh.read()
+    digest = _file_digest(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TableError(f"{path}: not a valid table file: {exc}") from None
+    del text  # the parsed records take its place
     if not isinstance(doc, dict) or doc.get("format") != TABLE_FORMAT:
         raise TableError(f"{path}: not a {TABLE_FORMAT} file")
     if doc.get("version") != TABLE_VERSION:
@@ -759,7 +832,10 @@ def load_table(path):
             raise TableError(f"{path}: missing field {field!r}")
     config = GameConfig.from_dict(doc["config"])
     states = doc["states"]
-    if _checksum(states) != doc["checksum"]:
+    # a tail other than export_table's could hold a second "states" key
+    # that the parser takes instead of the text hashed above
+    if (digest != (doc["checksum"], _tail(doc.get("meta")))
+            and _checksum(states) != doc["checksum"]):
         raise TableError(f"{path}: checksum mismatch, file corrupt or truncated")
     k = config.k
     t_probs = np.zeros((config.b_t0 + 1, config.b_j0 + 1, k + 1))

@@ -10,10 +10,14 @@ take the frame payoffs and the legal action sets from the package; only
 backward_induction_reference also shares the single-game LP, because it
 checks how solve_full_game batches and dedupes those games, bit for bit.
 simulate_reference replays Monte Carlo runs one at a time, the loop the
-package's chunked simulator must match exactly.
+package's chunked simulator must match exactly. export_text_reference
+writes a table file by encoding the whole document and, for the
+checksum, every record a second time with sorted keys.
 """
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 
@@ -360,3 +364,35 @@ def simulate_reference(table, runs, seed, sigma=0.0, error_pair=None):
         success_rate=float(successes.mean()),
         success_ci=_ci_half_width(successes),
     )
+
+
+def export_text_reference(table, meta=None):
+    """The text of a table file, built by encoding the state records twice.
+
+    The checksum is the sha256 of the records encoded with sorted keys,
+    and the file is the whole document encoded compactly, plus a newline.
+    Records are built from the table's arrays one state at a time.
+    """
+    from uwjam.solver import TABLE_FORMAT, TABLE_VERSION
+
+    cfg = table.config
+    k = cfg.k
+    states = [{"b_t": b_t,
+               "b_j": b_j,
+               "strat_t": [float(p) for p in table.t_probs[b_t, b_j, : min(2 * k, b_t) - k + 1]],
+               "strat_j": [float(p) for p in table.j_probs[b_t, b_j, : min(2 * k - 1, b_j) + 1]],
+               "value": float(table.values[b_t, b_j])}
+              for b_t in range(k, cfg.b_t0 + 1) for b_j in range(cfg.b_j0 + 1)]
+    canonical = json.dumps(states, sort_keys=True, separators=(",", ":"))
+    doc = {
+        "format": TABLE_FORMAT,
+        "version": TABLE_VERSION,
+        "config": cfg.to_dict(),
+        "checksum": hashlib.sha256(canonical.encode()).hexdigest(),
+        "states": states,
+    }
+    if meta is None:
+        meta = table.meta
+    if meta is not None:
+        doc["meta"] = meta
+    return json.dumps(doc, separators=(",", ":")) + "\n"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import uwjam.analysis
 from uwjam.analysis import (
     AnalysisReport,
     SensitivitySpec,
@@ -308,3 +309,14 @@ def test_sensitivity_sweep_equals_reference(mc_tables):
     rows = sensitivity_sweep(table, spec=spec, seed=5, error_pair=(0.1, 0.8))
     assert rows == [simulate_reference(table, 1100, seed=5, sigma=s, error_pair=(0.1, 0.8))
                     for s in spec.sigmas]
+
+
+def test_sensitivity_sweep_draws_play_uniforms_once_per_chunk(mc_tables, monkeypatch):
+    chunks = []
+    real = uwjam.analysis._play_uniforms
+    monkeypatch.setattr(uwjam.analysis, "_play_uniforms",
+                        lambda cfg, seed, runs: chunks.append(runs) or real(cfg, seed, runs))
+    spec = SensitivitySpec(sigmas=(0.0, 0.05, 0.6), runs=1100)
+    sensitivity_sweep(mc_tables["k4"], spec=spec, seed=5)
+    size = uwjam.analysis._CHUNK
+    assert chunks == [range(0, size), range(size, 1100)]

@@ -248,6 +248,31 @@ def test_mismatch_dummy_jammer_baseline(tmp_path, scenario):
     assert 0.0 <= float(rows[0]["psucc"]) <= 1.0
 
 
+def test_mismatch_sweep_solves_each_distinct_game_once(tmp_path, monkeypatch):
+    # 17 coded distances, 14 distinct games (see the solve --sweep test);
+    # every distance still gets its own row, scored under its true pair,
+    # in sweep order, which here splits the saturated far distances
+    sweep = DEFAULT_SWEEP[::2] + DEFAULT_SWEEP[1::2]
+    path = tmp_path / "coded.json"
+    path.write_text(json.dumps({**SMALL_SCENARIO, "sweep": sweep}))
+    args = ["mismatch", "--config", str(path), "--solve-model", "coded",
+            "--true-model", "uncoded"]
+    calls = []
+    real = uwjam.solver.solve_full_game
+    monkeypatch.setattr(uwjam.solver, "solve_full_game",
+                        lambda cfg: calls.append(cfg) or real(cfg))
+    out = tmp_path / "sweep.csv"
+    assert main([*args, "--out", str(out)]) == 0
+    assert len(calls) == len(set(calls)) == 14
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 + len(sweep)
+    # the per-distance runs differ only in the d_jr of the config line
+    for d, line in zip(sweep, lines[2:]):
+        single = tmp_path / "single.csv"
+        assert main([*args, "--d-jr", f"{d:g}", "--out", str(single)]) == 0
+        assert single.read_text().splitlines()[1:] == [lines[1], line], d
+
+
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
 

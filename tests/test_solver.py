@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -727,3 +728,140 @@ def test_load_ignores_record_order(tmp_path, small_game):
     np.testing.assert_array_equal(loaded.values, table.values)
     np.testing.assert_array_equal(loaded.t_probs, table.t_probs)
     np.testing.assert_array_equal(loaded.j_probs, table.j_probs)
+
+
+# every layout below loads through one of two checksum paths: the file's
+# own states text, or the parsed records encoded again by _checksum
+EXPORT_CONFIGS = [
+    GameConfig(k=1, b_t0=6, b_j0=4, alpha=0.5, p_clear=0.0, p_blocked=1.0, horizon=1),
+    GameConfig(k=2, b_t0=9, b_j0=0, alpha=0.3, p_clear=0.1, p_blocked=0.7, horizon=4),
+    GameConfig(k=3, b_t0=10, b_j0=7, alpha=0.4, p_clear=0.0, p_blocked=0.0,
+               horizon=math.inf, discount=0.9),
+    GameConfig(k=2, b_t0=8, b_j0=6, alpha=0.6, p_clear=1.0, p_blocked=1.0,
+               horizon=math.inf, discount=0.9),
+    GameConfig(k=3, b_t0=2, b_j0=3, alpha=0.4, p_clear=0.1, p_blocked=0.7, horizon=4),
+]
+EXPORT_METAS = [
+    None,
+    {"site": "Lago di Garda, fondale \u00e8 \u6c34\u4e0b", "d_jr": 60.0},
+    {"note": ',"states":[{"b_t":'},
+    {"states": [{"b_t": 4, "b_j": 0}], "d_jr": 20.0},
+]
+
+
+@pytest.fixture(scope="module", params=EXPORT_CONFIGS,
+                ids=[f"k{c.k}-bj{c.b_j0}-p{c.p_clear:g}{c.p_blocked:g}-g{c.horizon:g}"
+                     for c in EXPORT_CONFIGS])
+def export_game(request):
+    return solve_full_game(request.param)
+
+
+def _spy_checksum(monkeypatch, fail=False):
+    """Count calls of the re-encoding checksum; with fail, refuse them."""
+    calls = []
+    real = uwjam.solver._checksum
+
+    def spy(states):
+        calls.append(len(states))
+        if fail:
+            raise AssertionError("records encoded again")
+        return real(states)
+
+    monkeypatch.setattr(uwjam.solver, "_checksum", spy)
+    return calls
+
+
+@pytest.mark.parametrize("meta", EXPORT_METAS, ids=["none", "non-ascii", "states-text", "states-key"])
+def test_export_equals_two_encode_reference(tmp_path, export_game, meta, monkeypatch):
+    path = tmp_path / "table.json"
+    export_table(export_game, path, meta=meta)
+    assert path.read_bytes() == oracles.export_text_reference(export_game, meta).encode()
+    # a fresh export loads without encoding its records again
+    _spy_checksum(monkeypatch, fail=True)
+    loaded = load_table(path)
+    assert loaded.meta == meta
+    for name in ("values", "t_probs", "j_probs"):
+        assert getattr(loaded, name).tobytes() == getattr(export_game, name).tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 40, 333])
+def test_export_and_load_cut_the_states_text_between_records(tmp_path, small_game, block,
+                                                              monkeypatch):
+    _, table = small_game
+    monkeypatch.setattr(uwjam.solver, "_BLOCK", block)
+    path = tmp_path / "table.json"
+    export_table(table, path, meta={"d_jr": 60.0})
+    assert path.read_bytes() == oracles.export_text_reference(table, {"d_jr": 60.0}).encode()
+    _spy_checksum(monkeypatch, fail=True)
+    assert load_table(path).values.tobytes() == table.values.tobytes()
+
+
+def test_export_bytes_pinned(tmp_path, small_game):
+    # sha256 of this export as written by the two-encode writer
+    _, table = small_game
+    path = tmp_path / "table.json"
+    export_table(table, path, meta={"d_jr": 60.0, "per_mode": "uncoded"})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "3eb98804f51cfc707a5b11a312e215ef4fb914d03e1382292aa287241b8a2353")
+
+
+def test_export_falls_back_when_records_are_not_rewritten(tmp_path, small_game, monkeypatch):
+    _, table = small_game
+    monkeypatch.setattr(uwjam.solver, "_SWAPPED_MEMBERS", re.compile("(x)(x)(x)(x)"))
+    calls = _spy_checksum(monkeypatch)
+    path = tmp_path / "table.json"
+    export_table(table, path)
+    assert calls == [table.n_states]
+    assert path.read_bytes() == oracles.export_text_reference(table).encode()
+
+
+def _keys_reversed(doc):
+    doc["states"] = [dict(reversed(rec.items())) for rec in doc["states"]]
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def _records_reversed(doc):
+    doc["states"].reverse()
+    return json.dumps(_resum(doc))
+
+
+def _long_half(doc):
+    text, edits = re.subn(r"(?<=[\[,:])0\.5(?=[,\]}])", "0.50",
+                          json.dumps(doc, separators=(",", ":")) + "\n")
+    assert edits
+    return text
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda doc: json.dumps(doc, indent=2),
+    _records_reversed,
+    _keys_reversed,
+    _long_half,
+], ids=["indent", "records-reversed", "keys-reversed", "0.50"])
+def test_load_falls_back_on_other_layouts(tmp_path, small_game, rewrite, monkeypatch):
+    # the same records laid out otherwise; all but the reordered records
+    # keep the original checksum
+    _, table = small_game
+    path = tmp_path / "table.json"
+    export_table(table, path, meta={"d_jr": 60.0})
+    path.write_text(rewrite(json.loads(path.read_text())))
+    calls = _spy_checksum(monkeypatch)
+    loaded = load_table(path)
+    assert calls == [table.n_states]
+    assert loaded.meta == {"d_jr": 60.0}
+    for name in ("values", "t_probs", "j_probs"):
+        assert getattr(loaded, name).tobytes() == getattr(table, name).tobytes()
+
+
+def test_load_reads_the_states_key_the_parser_keeps(tmp_path, small_game):
+    # a second "states" key after the first: the parser keeps the second,
+    # so the first one's text must not settle the checksum
+    _, table = small_game
+    path = tmp_path / "table.json"
+    export_table(table, path)
+    text = path.read_text()
+    states = json.loads(text)["states"]
+    states[0]["value"] = 0.123
+    path.write_text(text[:-2] + ',"states":' + json.dumps(states, separators=(",", ":")) + "}\n")
+    with pytest.raises(TableError, match="checksum"):
+        load_table(path)
