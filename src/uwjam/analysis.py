@@ -287,9 +287,10 @@ def _simulate(table, runs, seed, sigmas, error_pair):
         stop = min(start + _CHUNK, runs)
         chunk = range(start, stop)
         u = _play_uniforms(table.config, seed, chunk)
+        z = _perturbations(seed, chunk) if any(sigma > 0.0 for sigma in sigmas) else None
         for i, sigma in enumerate(sigmas):
             lifetimes[i, start:stop], successes[i, start:stop] = _play_chunk(
-                table.config, cum_t, cum_j, lmap, u, *_channel(params, seed, sigma, chunk))
+                table.config, cum_t, cum_j, lmap, u, *_channel(params, sigma, z, len(chunk)))
     return [SimulationResult(
         runs=runs,
         seed=seed,
@@ -315,16 +316,25 @@ def _play_uniforms(cfg, seed, runs):
     return u
 
 
-def _channel(params, seed, sigma, runs):
-    """Per-run (p_clear, p_blocked) the channel applies at sigma."""
-    p_clear = np.full(len(runs), params.p_clear, dtype=float)
-    p_blocked = np.full(len(runs), params.p_blocked, dtype=float)
+def _perturbations(seed, runs):
+    """Each run's two standard normals from its perturbation stream."""
+    z = np.empty((len(runs), 2))
+    for i, run in enumerate(runs):
+        # the first child of SeedSequence((seed, run)), as above
+        perturb_ss = np.random.SeedSequence((seed, run), spawn_key=(0,))
+        np.random.Generator(np.random.PCG64(perturb_ss)).standard_normal(out=z[i])
+    return z
+
+
+def _channel(params, sigma, z, size):
+    """Per-run (p_clear, p_blocked) the channel applies at sigma, from
+    the runs' standard normals z (size, 2); z is only read when sigma > 0."""
+    p_clear = np.full(size, params.p_clear, dtype=float)
+    p_blocked = np.full(size, params.p_blocked, dtype=float)
     if sigma > 0.0:
-        eps = np.empty((len(runs), 2))
-        for i, run in enumerate(runs):
-            # the first child of SeedSequence((seed, run)), as above
-            perturb_ss = np.random.SeedSequence((seed, run), spawn_key=(0,))
-            eps[i] = np.random.Generator(np.random.PCG64(perturb_ss)).normal(0.0, sigma, size=2)
+        # Generator.normal(0.0, sigma) computes 0.0 + sigma * z from the
+        # same standard normals, so this matches it bit for bit
+        eps = 0.0 + sigma * z
         p_clear = np.clip(p_clear + eps[:, 0], 0.0, 1.0)
         p_blocked = np.maximum(np.clip(p_blocked + eps[:, 1], 0.0, 1.0), p_clear)
     return p_clear, p_blocked

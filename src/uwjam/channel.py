@@ -198,6 +198,9 @@ def compute_link_budget(env, tx, d_tr, d_jr=None):
 def bessel_i0_scaled(x):
     """exp(-|x|) * I0(x), stable for large arguments."""
     x = abs(x)
+    if math.isnan(x):
+        # the series below would never meet their stopping tests
+        return x
     if x < 20.0:
         # power series sum_k (x^2/4)^k / (k!)^2
         q = x * x / 4.0

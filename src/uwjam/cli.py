@@ -75,12 +75,13 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.per_mode not in PER_MODES:
             raise ConfigError(f"per_mode must be one of {PER_MODES}, got {self.per_mode!r}")
-        if self.d_tr <= 0:
-            raise ConfigError("d_tr must be positive")
-        if not self.sweep or any(d <= 0 for d in self.sweep):
-            raise ConfigError("sweep must be a nonempty list of positive distances")
-        if self.d_jr is not None and self.d_jr <= 0:
-            raise ConfigError("d_jr must be positive")
+        # a NaN distance compares false both ways, so test finiteness too
+        if not (math.isfinite(self.d_tr) and self.d_tr > 0):
+            raise ConfigError("d_tr must be a positive finite distance")
+        if not self.sweep or not all(math.isfinite(d) and d > 0 for d in self.sweep):
+            raise ConfigError("sweep must be a nonempty list of positive finite distances")
+        if self.d_jr is not None and not (math.isfinite(self.d_jr) and self.d_jr > 0):
+            raise ConfigError("d_jr must be a positive finite distance")
 
     @classmethod
     def from_dict(cls, data):

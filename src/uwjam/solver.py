@@ -20,8 +20,12 @@ gamma frames cost at most 2k gamma quanta, so the gamma-frame values
 repeat at every b_t >= 2k gamma and those levels copy the level below
 instead of solving again. A frame costs at least k
 quanta, so the k levels qk .. qk+k-1 depend only on levels below qk and
-are solved as one block. The transmitter's best response to a fixed
-jammer, the values of fixed play and the lifetime and success
+are solved as one block. Continuation values often stop changing in b_t
+or b_j before those caps, so many of a block's games still repeat a
+neighbour's bytes; such a game takes the solution of the same game one
+level down or of the previous one on its level instead of being pivoted
+again (:func:`_solve_stage_batch`). The transmitter's best response to
+a fixed jammer, the values of fixed play and the lifetime and success
 recursions of :mod:`uwjam.analysis` walk the same level blocks and read
 successors through the same gather (:func:`_levels`,
 :func:`_next_values`).
@@ -40,6 +44,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import os
 import re
 import uuid
@@ -112,6 +117,10 @@ class GameConfig:
     discount: float = 1.0
 
     def __post_init__(self):
+        for name in ("k", "b_t0", "b_j0"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ConfigError("k must be a positive integer")
         if self.b_t0 < 0 or self.b_j0 < 0:
@@ -317,6 +326,38 @@ def _pivot_to_optimum(D, basis):
         Ba[ar, i] = j
 
 
+def _solve_stage_batch(stage):
+    """Solve a block's stage games (levels, pairs, m, n) through the LP
+    kernel, pivoting each run of byte-equal neighbours once.
+
+    A game whose bytes equal the same pair's one level down, or the
+    previous pair's on its level, takes that game's solution. Each
+    repeat points to a lower index, so following the pointers ends at a
+    first instance; only those go to :func:`_minimax_batch`. Each
+    instance pivots alone, so the results equal a solve of every game.
+    Batches of at most one chunk skip the comparison: a pivot round
+    costs about the same whatever a chunk holds.
+
+    :returns: (values, row_strats, col_strats) over the flattened
+        (levels * pairs) games
+    """
+    levels, pairs, m, n = stage.shape
+    games = stage.reshape(-1, m, n)
+    if len(games) <= _SIMPLEX_CHUNK:
+        return _minimax_batch(games)
+    bits = games.view(np.int64).reshape(levels, pairs, m * n)
+    index = np.arange(levels * pairs).reshape(levels, pairs)
+    src = index.copy()
+    src[:, 1:] -= (bits[:, 1:] == bits[:, :-1]).all(axis=2)
+    src[1:] = np.where((bits[1:] == bits[:-1]).all(axis=2), index[:-1], src[1:])
+    src = src.ravel()
+    while not np.array_equal(src[src], src):
+        src = src[src]
+    first = src == np.arange(src.size)
+    position = np.cumsum(first) - 1
+    return tuple(out[position[src]] for out in _minimax_batch(games[first]))
+
+
 def solve_matrix_game(matrix):
     """Equilibrium of one zero-sum matrix game (row player maximizes).
 
@@ -514,6 +555,14 @@ def solve_full_game(config):
     those of b_t = 2k gamma: a block copies such depths from the level
     below it and solves only the deeper ones. Where that covers the
     deployed depth as well, the block copies the level below whole.
+
+    The values can stop changing before either cap, so a game of the
+    block may still equal, byte for byte, the same (gamma, b_j) game one
+    level down or the game of the previous pair on its level. Each
+    column group's batch goes through :func:`_solve_stage_batch`, which
+    pivots only the first of such repeats and hands its solution to the
+    rest; every game still gets the result a solve of its own bytes
+    gives.
     """
     k = config.k
     b_t0, b_j0 = config.b_t0, config.b_j0
@@ -546,7 +595,7 @@ def solve_full_game(config):
                                   succ_bj[None, :, None, :]]
             cont = np.where(alive[:, None, :, None], cont, 0.0)
             stage = base[:m, :n] + lam * cont
-            vals, rows, colstrats = _minimax_batch(stage.reshape(-1, m, n))
+            vals, rows, colstrats = _solve_stage_batch(stage)
             vals = vals.reshape(levels, pairs)
             _store(horizon_values, values, slice(lo, hi), b_js,
                    vals[:, expand[low:depth] - start].transpose(1, 0, 2), low + 1)

@@ -142,6 +142,11 @@ def test_bessel_i0_overflow_guard():
     assert bessel_i0_scaled(709.0) > 0.0
 
 
+def test_bessel_i0_nan_returns_nan():
+    assert math.isnan(bessel_i0_scaled(math.nan))
+    assert math.isnan(bessel_i0_scaled(-math.nan))
+
+
 def test_bessel_i0_even():
     assert bessel_i0_scaled(-3.0) == bessel_i0_scaled(3.0)
     assert bessel_i0_scaled(-30.0) == bessel_i0_scaled(30.0)

@@ -314,6 +314,20 @@ def test_exit_codes(tmp_path, scenario, tables_dir):
                  ["sensitivity", "--sigma", "nan"], ["sensitivity", "--sigma", "inf"]):
         assert main([*argv, "--config", scenario, "--table", good, "--seed", "1"]) == 2, argv
 
+    # a non-finite distance (NaN used to hang the PER model) or a game
+    # size that is not an integer is a configuration error
+    out = tmp_path / "table.json"
+    for d_jr in ("nan", "inf", "-inf"):
+        argv = ["solve", "--config", scenario, f"--d-jr={d_jr}", "--out", str(out)]
+        assert main(argv) == 2, d_jr
+    for edit in ({"d_tr": float("nan")}, {"d_tr": float("inf")}, {"sweep": [50, float("nan")]},
+                 {"b_t0": 20.5}, {"k": 2.0}, {"b_j0": True}, {"k": "2"}):
+        bad_scenario = tmp_path / "bad_scenario.json"
+        bad_scenario.write_text(json.dumps({**SMALL_SCENARIO, **edit}))
+        assert main(["solve", "--config", str(bad_scenario), "--d-jr", "60",
+                     "--out", str(out)]) == 2, edit
+    assert not out.exists()
+
 
 def test_solver_failure_exit_code(tmp_path, scenario, monkeypatch):
     monkeypatch.setattr("uwjam.solver._SIMPLEX_MAX_ITER", 1)

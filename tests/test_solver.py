@@ -162,10 +162,15 @@ def test_game_config_validation():
         dict(good, discount=1.25),
         dict(good, horizon=0),
         dict(good, horizon=math.inf),  # needs discount < 1
+        dict(good, k=2.0),
+        dict(good, b_t0=20.5),
+        dict(good, b_j0=True),
+        dict(good, k="4"),
     ):
         with pytest.raises(ConfigError):
             GameConfig(**bad)
     GameConfig(**good, horizon=math.inf, discount=0.9)
+    GameConfig(**dict(good, b_t0=np.int64(200)))
 
 
 def test_effective_horizon_battery_cap():
@@ -359,7 +364,10 @@ TRANSMITTER_CAPPED = [
                horizon=math.inf, discount=0.9),
     *TRANSMITTER_CAPPED,
 ], ids=lambda c: f"k{c.k}-bj{c.b_j0}-h{c.horizon}")
-def test_solve_full_game_matches_per_state_reference(cfg):
+def test_solve_full_game_matches_per_state_reference(cfg, monkeypatch):
+    # one-instance chunks send every stage batch through the
+    # neighbour-repeat path, which full-scale batches take
+    monkeypatch.setattr(uwjam.solver, "_SIMPLEX_CHUNK", 1)
     table = solve_full_game(cfg)
     want = oracles.backward_induction_reference(cfg)
     got = (table.horizon_values, table.t_probs, table.j_probs, table.values)
@@ -392,15 +400,17 @@ def test_horizon_values_repeat_above_transmitter_cap(cfg):
     GameConfig(k=4, b_t0=200, b_j0=200, alpha=0.4, p_clear=0.05, p_blocked=0.6, horizon=1),
 ], ids=lambda c: f"k{c.k}-bj{c.b_j0}")
 def test_solve_full_game_solves_each_capped_game_once(cfg, monkeypatch):
+    # counted where the stage batches are built, before neighbour
+    # repeats are dropped
     seen = {"calls": 0, "instances": 0}
-    real = uwjam.solver._minimax_batch
+    real = uwjam.solver._solve_stage_batch
 
-    def counting(matrices):
+    def counting(stage):
         seen["calls"] += 1
-        seen["instances"] += len(matrices)
-        return real(matrices)
+        seen["instances"] += stage.shape[0] * stage.shape[1]
+        return real(stage)
 
-    monkeypatch.setattr(uwjam.solver, "_minimax_batch", counting)
+    monkeypatch.setattr(uwjam.solver, "_solve_stage_batch", counting)
     solve_full_game(cfg)
     k, full = cfg.k, 2 * cfg.k - 1
     # level blocks (first level, level count): levels k .. 2k-1 alone,
@@ -422,6 +432,70 @@ def test_solve_full_game_solves_each_capped_game_once(cfg, monkeypatch):
     # one call per column group and block with a depth left to solve
     groups = min(full, cfg.b_j0 + 1) + (cfg.b_j0 >= full)
     assert seen["calls"] == solved * groups
+
+
+def test_stage_batch_pivots_neighbour_repeats_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    stage = rng.normal(size=(4, 7, 3, 4))
+    stage[1, 2] = stage[0, 2]            # the same pair one level down
+    stage[2, 2] = stage[1, 2]            # ... twice: a chain
+    stage[0, 4] = stage[0, 3]            # the previous pair on the level
+    stage[0, 5] = stage[0, 4]
+    stage[1, 5] = stage[0, 5]            # both ways
+    stage[3, 6] = stage[3, 5]
+    stage[3, 0] = stage[2, 6]            # equal, but neither neighbour
+    stage[2, 1] = 0.0
+    stage[2, 0] = -0.0                   # equal values, other bytes
+    sent = []
+    real = uwjam.solver._minimax_batch
+
+    def counting(matrices):
+        sent.append(len(matrices))
+        return real(matrices)
+
+    monkeypatch.setattr(uwjam.solver, "_minimax_batch", counting)
+    monkeypatch.setattr(uwjam.solver, "_SIMPLEX_CHUNK", 1)
+    got = uwjam.solver._solve_stage_batch(stage)
+    assert sent == [4 * 7 - 6]
+    for out, want in zip(got, real(stage.reshape(-1, 3, 4))):
+        assert out.tobytes() == want.tobytes()
+    # a batch of at most one chunk goes to the kernel whole
+    monkeypatch.setattr(uwjam.solver, "_SIMPLEX_CHUNK", stage.shape[0] * stage.shape[1])
+    uwjam.solver._solve_stage_batch(stage)
+    assert sent[-1] == 4 * 7
+
+
+@pytest.mark.parametrize("cfg", [
+    # equal PERs: the jammer changes nothing, so games repeat along b_j
+    GameConfig(k=2, b_t0=40, b_j0=30, alpha=0.4, p_clear=0.2, p_blocked=0.2, horizon=8),
+    # saturated PERs and a lookahead past the point where the
+    # continuation values stop changing below the 2kg cap
+    GameConfig(k=2, b_t0=40, b_j0=30, alpha=0.5, p_clear=0.0, p_blocked=1.0, horizon=12),
+    GameConfig(k=3, b_t0=45, b_j0=40, alpha=0.4, p_clear=0.05, p_blocked=0.6, horizon=15),
+    GameConfig(k=1, b_t0=30, b_j0=12, alpha=1.0, p_clear=1.0, p_blocked=1.0,
+               horizon=math.inf, discount=0.9),
+], ids=lambda c: f"k{c.k}-pc{c.p_clear}-pb{c.p_blocked}-h{c.horizon}")
+def test_neighbour_repeats_keep_the_solve_bit_equal(cfg, monkeypatch):
+    seen = {"built": 0, "pivoted": 0}
+    real_stage, real_kernel = uwjam.solver._solve_stage_batch, uwjam.solver._minimax_batch
+
+    def built(stage):
+        seen["built"] += stage.shape[0] * stage.shape[1]
+        return real_stage(stage)
+
+    def pivoted(matrices):
+        seen["pivoted"] += len(matrices)
+        return real_kernel(matrices)
+
+    monkeypatch.setattr(uwjam.solver, "_solve_stage_batch", built)
+    monkeypatch.setattr(uwjam.solver, "_minimax_batch", pivoted)
+    monkeypatch.setattr(uwjam.solver, "_SIMPLEX_CHUNK", 1)
+    repeats = solve_full_game(cfg)
+    assert seen["pivoted"] < seen["built"]
+    monkeypatch.setattr(uwjam.solver, "_SIMPLEX_CHUNK", 10 ** 9)
+    whole = solve_full_game(cfg)
+    for name in ("horizon_values", "t_probs", "j_probs", "values"):
+        assert getattr(repeats, name).tobytes() == getattr(whole, name).tobytes(), name
 
 
 def test_table_state_bounds_checks(small_game):
