@@ -85,16 +85,20 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise ConfigError("scenario config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged = dict(data)
-        if "sweep" in merged:
-            merged["sweep"] = tuple(float(d) for d in merged["sweep"])
         if merged.get("horizon") == "inf":
             merged["horizon"] = math.inf
         try:
+            if "sweep" in merged:
+                if not isinstance(merged["sweep"], (list, tuple)):
+                    raise ConfigError("sweep must be a list of distances")
+                merged["sweep"] = tuple(float(d) for d in merged["sweep"])
             return cls(**merged)
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
@@ -107,7 +111,7 @@ class ScenarioConfig:
             v = getattr(self, f.name)
             if f.name == "sweep":
                 v = list(v)
-            elif f.name == "horizon" and math.isinf(v):
+            elif f.name == "horizon" and v == math.inf:
                 v = "inf"
             out[f.name] = v
         return out

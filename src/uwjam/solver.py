@@ -18,10 +18,11 @@ above that cap shares the stage matrix of the cap and takes its
 solution instead of being solved again. The transmitter cap mirrors it:
 gamma frames cost at most 2k gamma quanta, so the gamma-frame values
 repeat at every b_t >= 2k gamma and those levels copy the level below
-instead of solving again. A frame costs at least k
-quanta, so the k levels qk .. qk+k-1 depend only on levels below qk and
-are solved as one block. Continuation values often stop changing in b_t
-or b_j before those caps, so many of a block's games still repeat a
+instead of solving again. A frame costs at least k quanta, so the k
+levels qk .. qk+k-1 depend only on levels below qk and are solved as
+one block, in one batch of stage games with all 2k jam counts
+(:func:`solve_full_game`). Continuation values often stop changing in
+b_t or b_j before those caps, so many of a block's games still repeat a
 neighbour's bytes; such a game takes the solution of the same game one
 level down or of the previous one on its level instead of being pivoted
 again (:func:`_solve_stage_batch`). The transmitter's best response to
@@ -32,6 +33,8 @@ successors through the same gather (:func:`_levels`,
 
 Matrix games are solved as linear programs with a dense tableau simplex,
 batched over states: value = 1/max(1'q) with (M + shift) q <= 1, q >= 0.
+An all-+inf column marks an action the minimizing player lacks
+(:func:`_minimax_batch`); :func:`solve_matrix_game` takes finite games.
 Entering variables follow Bland's rule and the ratio test runs on a
 deterministically perturbed right-hand side carried next to the true
 one, so degenerate matrices (common when a PER saturates at 0 or 1)
@@ -48,7 +51,7 @@ import numbers
 import os
 import re
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -117,10 +120,12 @@ class GameConfig:
     discount: float = 1.0
 
     def __post_init__(self):
-        for name in ("k", "b_t0", "b_j0"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, what = ((numbers.Integral, "an integer") if f.type is int
+                          else (numbers.Real, "a number"))
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
         if self.k < 1:
             raise ConfigError("k must be a positive integer")
         if self.b_t0 < 0 or self.b_j0 < 0:
@@ -132,10 +137,10 @@ class GameConfig:
                 raise ConfigError(f"{name} must lie in [0, 1]")
         if not 0.0 <= self.discount <= 1.0:
             raise ConfigError("discount must lie in [0, 1]")
-        if math.isinf(self.horizon):
+        if self.horizon == math.inf:
             if self.discount >= 1.0:
                 raise ConfigError("infinite horizon requires discount < 1")
-        elif self.horizon != int(self.horizon) or self.horizon < 1:
+        elif not self.horizon >= 1 or self.horizon != int(self.horizon):  # NaN fails >=
             raise ConfigError("horizon must be a positive integer or inf")
 
     @property
@@ -239,7 +244,8 @@ _NO_ROW = np.iinfo(np.int64).max
 def _minimax_batch(matrices):
     """Solve a batch of zero-sum matrix games.
 
-    :param matrices: array (B, m, n); row player maximizes
+    :param matrices: array (B, m, n); row player maximizes; an all-+inf
+        column is an action the column player lacks, all else is finite
     :returns: (values (B,), row_strats (B, m), col_strats (B, n))
 
     The LP per instance is max 1'q s.t. (M + shift) q <= 1, q >= 0 with
@@ -247,6 +253,11 @@ def _minimax_batch(matrices):
     bounded. The column strategy is q scaled by the objective, the row
     strategy comes from the slack reduced costs (the LP duals), and
     value = 1/objective - shift.
+
+    An absent column enters the tableau as zeros, stays zero through
+    every pivot and gets probability +0.0. The other columns still
+    precede the slacks, so the pivots and the results are bit for bit
+    those of the game without it.
 
     Each instance is pivoted on its own, so its result does not depend
     on what else is in the batch.
@@ -267,7 +278,10 @@ def _minimax_batch(matrices):
     D[:, :m, n:nv] = np.eye(m)
     D[:, :m, nv] = 1.0
     D[:, :m, nv + 1] = 1.0 + np.arange(1, m + 1) * 1e-7
-    D[:, m, :n] = 1.0
+    # an absent column is all zeros, so it never improves the objective
+    absent = M[:, 0] == np.inf
+    D[:, m, :n] = ~absent
+    np.copyto(D[:, :m, :n], 0.0, where=absent[:, None])
     basis = np.tile(np.arange(n, n + m), (batch, 1))
     for start in range(0, batch, _SIMPLEX_CHUNK):
         chunk = slice(start, start + _SIMPLEX_CHUNK)
@@ -367,10 +381,12 @@ def solve_matrix_game(matrix):
     Neither player can gain more than ~1e-9 by a pure deviation; ties
     between equilibria resolve deterministically through the fixed
     pivoting rule, so repeated calls return identical arrays.
+
+    :raises ValueError: unless the matrix is 2-D, nonempty and finite
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.size == 0:
-        raise ValueError("payoff matrix must be 2-D and nonempty")
+    if matrix.ndim != 2 or matrix.size == 0 or not np.isfinite(matrix).all():
+        raise ValueError("payoff matrix must be 2-D, nonempty and finite")
     values, rows, cols = _minimax_batch(matrix[None])
     return float(values[0]), rows[0], cols[0]
 
@@ -505,38 +521,6 @@ def _store(horizon_values, values, rows, cols, by_depth, first=1):
     values[rows, cols] = horizon_values[depth, rows, cols]
 
 
-def _column_groups(k, b_j0, g_store):
-    """Jammer-battery columns batched together, with their dedupe maps.
-
-    All b_j >= 2k-1 share the full jammer action count 2k and form one
-    group; each b_j < 2k-1 forms its own. With g frames of lookahead the
-    jammer can spend at most g(2k-1) quanta, so every b_j above that cap
-    has the same stage matrix as the cap itself, and only b_j <= cap is
-    solved at depth g.
-
-    :returns: list of (b_j slice, n, pair_depth, pair_bj, offsets,
-        expand); the stage games solved for lookahead depth g + 1 are
-        pairs offsets[g] .. offsets[g+1]-1, at continuation depth
-        pair_depth and jammer battery pair_bj, and expand[g, c] is the
-        pair whose solution column c of the slice takes at that depth
-    """
-    full = 2 * k - 1
-    caps = full * np.arange(1, g_store + 1)
-    ranges = [(full, b_j0)] if b_j0 >= full else []
-    ranges += [(b_j, b_j) for b_j in range(min(full, b_j0 + 1))]
-    groups = []
-    for lo, hi in ranges:
-        counts = np.minimum(hi, caps) - lo + 1
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        pair_depth = np.repeat(np.arange(g_store), counts)
-        pair_bj = lo + np.arange(offsets[-1]) - offsets[pair_depth]
-        expand = offsets[:-1, None] + np.minimum(np.arange(hi - lo + 1),
-                                                 counts[:, None] - 1)
-        groups.append((slice(lo, hi + 1), min(lo + 1, 2 * k),
-                       pair_depth, pair_bj, offsets, expand))
-    return groups
-
-
 def solve_full_game(config):
     """Backward-induction equilibrium over the whole battery grid.
 
@@ -544,11 +528,13 @@ def solve_full_game(config):
     of up to k levels that depend only on levels below the block (see
     :func:`_levels`). Each distinct (gamma, b_j) matrix game of a
     block is solved once: jammer batteries above what the jammer can
-    spend within gamma frames take the solution at that cap (see
-    :func:`_column_groups`), and the games sharing a shape go to the
-    simplex as one batch. The deployed strategy and value at a state
-    are those of the receding-horizon matrix; horizon values for all
-    shallower gamma are stored alongside.
+    spend within gamma frames take the solution at that cap. All games
+    have the 2k jam counts, so a block goes to the simplex as one batch;
+    a count above b_j, which the jammer cannot afford, is an all-+inf
+    column (see :func:`_minimax_batch`) and gets probability 0. The
+    deployed strategy and value at a state are those of the
+    receding-horizon matrix; horizon values for all shallower gamma are
+    stored alongside.
 
     The transmitter cannot spend more than 2k gamma quanta within gamma
     frames either, so the gamma-frame games at every b_t >= 2k gamma are
@@ -558,9 +544,9 @@ def solve_full_game(config):
 
     The values can stop changing before either cap, so a game of the
     block may still equal, byte for byte, the same (gamma, b_j) game one
-    level down or the game of the previous pair on its level. Each
-    column group's batch goes through :func:`_solve_stage_batch`, which
-    pivots only the first of such repeats and hands its solution to the
+    level down or the game of the previous pair on its level. The
+    block's batch goes through :func:`_solve_stage_batch`, which pivots
+    only the first of such repeats and hands its solution to the
     rest; every game still gets the result a solve of its own bytes
     gives.
     """
@@ -573,7 +559,16 @@ def solve_full_game(config):
     t_probs = np.zeros((b_t0 + 1, b_j0 + 1, k + 1))
     j_probs = np.zeros((b_t0 + 1, b_j0 + 1, 2 * k))
     values = np.zeros((b_t0 + 1, b_j0 + 1))
-    groups = _column_groups(k, b_j0, g_store)
+    # the games solved for lookahead depth g + 1 are pairs offsets[g] ..
+    # offsets[g+1]-1, one per b_j up to the spending cap (g + 1)(2k - 1);
+    # expand[g, b_j] is the pair whose solution b_j takes at that depth
+    counts = np.minimum(b_j0, (2 * k - 1) * np.arange(1, g_store + 1)) + 1
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    pair_depth = np.repeat(np.arange(g_store), counts)
+    succ_bj = (np.arange(offsets[-1]) - offsets[pair_depth])[:, None] - np.arange(2 * k)
+    unaffordable = succ_bj < 0
+    succ_bj[unaffordable] = 0
+    expand = offsets[:-1, None] + np.minimum(np.arange(b_j0 + 1), counts[:, None] - 1)
     for lo, hi, m, safe_bt, alive in _levels(k, b_t0):
         levels = hi - lo
         depth = min(g_store, lo // k)
@@ -586,22 +581,20 @@ def solve_full_game(config):
             t_probs[lo:hi] = t_probs[lo - 1]
             j_probs[lo:hi] = j_probs[lo - 1]
             continue
-        for b_js, n, pair_depth, pair_bj, offsets, expand in groups:
-            start, stop = offsets[low], offsets[depth]
-            pairs = stop - start
-            succ_bj = pair_bj[start:stop, None] - np.arange(n)
-            cont = horizon_values[pair_depth[None, start:stop, None, None],
-                                  safe_bt[:, None, :, None],
-                                  succ_bj[None, :, None, :]]
-            cont = np.where(alive[:, None, :, None], cont, 0.0)
-            stage = base[:m, :n] + lam * cont
-            vals, rows, colstrats = _solve_stage_batch(stage)
-            vals = vals.reshape(levels, pairs)
-            _store(horizon_values, values, slice(lo, hi), b_js,
-                   vals[:, expand[low:depth] - start].transpose(1, 0, 2), low + 1)
-            deployed = expand[depth - 1] - start
-            t_probs[lo:hi, b_js, :m] = rows.reshape(levels, pairs, m)[:, deployed]
-            j_probs[lo:hi, b_js, :n] = colstrats.reshape(levels, pairs, n)[:, deployed]
+        pairs = slice(offsets[low], offsets[depth])
+        cont = horizon_values[pair_depth[None, pairs, None, None],
+                              safe_bt[:, None, :, None],
+                              succ_bj[None, pairs, None, :]]
+        cont = np.where(alive[:, None, :, None], cont, 0.0)
+        stage = base[:m] + lam * cont
+        np.copyto(stage, np.inf, where=unaffordable[None, pairs, None, :])
+        vals, rows, cols = _solve_stage_batch(stage)
+        vals = vals.reshape(levels, -1)
+        _store(horizon_values, values, slice(lo, hi), slice(None),
+               vals[:, expand[low:depth] - pairs.start].transpose(1, 0, 2), low + 1)
+        deployed = expand[depth - 1] - pairs.start
+        t_probs[lo:hi, :, :m] = rows.reshape(levels, -1, m)[:, deployed]
+        j_probs[lo:hi] = cols.reshape(levels, -1, 2 * k)[:, deployed]
     return StrategyTable(config, t_probs, j_probs, values, horizon_values)
 
 

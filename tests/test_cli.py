@@ -290,6 +290,13 @@ def test_exit_codes(tmp_path, scenario, tables_dir):
     no_path.write_text(json.dumps({"per_mode": "empirical"}))
     assert main(["per-sweep", "--config", str(no_path)]) == 2
 
+    # a scenario that is not an object, or a sweep that is not a list
+    for doc in (["k"], "k", 5, {"sweep": "abc"}, {"sweep": 5}, {"sweep": "60"},
+                {"sweep": {"60": 1}}, {"sweep": [50, "far"]}):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(json.dumps(doc))
+        assert main(["per-sweep", "--config", str(malformed)]) == 2, doc
+
     assert main(["per-sweep", "--config", str(tmp_path / "missing.json")]) == 3
     assert main(["inspect-table", "--table", str(tmp_path / "missing.json")]) == 3
 
@@ -320,8 +327,14 @@ def test_exit_codes(tmp_path, scenario, tables_dir):
     for d_jr in ("nan", "inf", "-inf"):
         argv = ["solve", "--config", scenario, f"--d-jr={d_jr}", "--out", str(out)]
         assert main(argv) == 2, d_jr
+    # as is a game parameter that is NaN where an integer is due, a bool
+    # or not a number at all
     for edit in ({"d_tr": float("nan")}, {"d_tr": float("inf")}, {"sweep": [50, float("nan")]},
-                 {"b_t0": 20.5}, {"k": 2.0}, {"b_j0": True}, {"k": "2"}):
+                 {"b_t0": 20.5}, {"k": 2.0}, {"b_j0": True}, {"k": "2"},
+                 {"horizon": float("nan")}, {"horizon": "30"}, {"horizon": True},
+                 {"horizon": float("-inf"), "discount": 0.9},
+                 {"alpha": "0.4"}, {"alpha": False}, {"p_clear": "0"}, {"discount": "1"},
+                 {"discount": True}):
         bad_scenario = tmp_path / "bad_scenario.json"
         bad_scenario.write_text(json.dumps({**SMALL_SCENARIO, **edit}))
         assert main(["solve", "--config", str(bad_scenario), "--d-jr", "60",

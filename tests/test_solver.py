@@ -107,6 +107,11 @@ def test_solver_input_validation():
         solve_matrix_game(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         solve_matrix_game(np.zeros(4))
+    # a non-finite entry used to come back as a NaN value or strategy;
+    # +inf columns stay a convention of the solver's own stage games
+    for bad in ([[1, np.nan], [0, 1]], [[-np.inf, 1], [0, 2]], [[np.inf, 1], [np.inf, 2]]):
+        with pytest.raises(ValueError, match="finite"):
+            solve_matrix_game(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +136,53 @@ def test_batched_solves_match_single_solves_bit_for_bit():
         for pos, b in enumerate(order):
             for got, want in zip(together, alone[b]):
                 assert got[pos].tobytes() == want[0].tobytes(), b
+
+
+def _padding_cases(rng):
+    """Games of 1-5 rows and 1-6 columns: random, 0/1, with repeated
+    rows and columns, single columns, and saturated-PER frame payoffs
+    cut to their first jam counts as the solver's stage games are."""
+    def shape():
+        return int(rng.integers(1, 6)), int(rng.integers(1, 7))
+    games = [rng.normal(size=shape()) for _ in range(40)]
+    games += [rng.integers(0, 2, size=shape()).astype(float) for _ in range(40)]
+    for _ in range(20):
+        g = rng.integers(-1, 2, size=shape()).astype(float)
+        g = g[rng.integers(0, len(g), size=len(g) + 1)]         # repeated rows
+        games.append(g[:, rng.integers(0, g.shape[1], size=g.shape[1] + 1)])
+    games += [rng.normal(size=(m, 1)) for m in range(1, 6)]
+    games += [np.full((3, 1), 2.0), np.zeros((4, 2))]
+    for k in (1, 2, 3):
+        for alpha in (0.0, 0.5, 1.0):
+            for pc, pb in ((0.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
+                full = payoff_matrix(SubgameParams(k=k, alpha=alpha, p_clear=pc, p_blocked=pb))
+                games += [full[:, :n] for n in range(1, 2 * k + 1)]
+    return games
+
+
+@pytest.mark.parametrize("trailing", [True, False])
+def test_absent_columns_change_no_pivot(trailing):
+    # an all-+inf column is an action the minimizer lacks: a game padded
+    # with such columns, batched with games of other widths, gives the
+    # bits of its own solve, and +0.0 on the padded columns
+    rng = np.random.default_rng(31 + trailing)
+    width = 8
+    by_rows = {}
+    for game in _padding_cases(rng):
+        m, n = game.shape
+        real = np.arange(n) if trailing else np.sort(rng.choice(width, n, replace=False))
+        padded = np.full((m, width), np.inf)
+        padded[:, real] = game
+        by_rows.setdefault(m, []).append((game, padded, real))
+    for cases in by_rows.values():
+        values, rows, cols = _minimax_batch(np.stack([p for _, p, _ in cases]))
+        for b, (game, _, real) in enumerate(cases):
+            want_value, want_rows, want_cols = _minimax_batch(game[None])
+            assert values[b].tobytes() == want_value[0].tobytes(), game
+            assert rows[b].tobytes() == want_rows[0].tobytes(), game
+            assert cols[b, real].tobytes() == want_cols[0].tobytes(), game
+            absent = np.delete(cols[b], real)
+            assert absent.tobytes() == np.zeros_like(absent).tobytes(), game
 
 
 def test_simplex_stall_raises_solver_error(monkeypatch):
@@ -166,11 +218,16 @@ def test_game_config_validation():
         dict(good, b_t0=20.5),
         dict(good, b_j0=True),
         dict(good, k="4"),
+        dict(good, horizon=math.nan),
+        dict(good, horizon=-math.inf, discount=0.9),
+        dict(good, horizon=True),
+        dict(good, alpha="0.4"),
+        dict(good, discount=False),
     ):
         with pytest.raises(ConfigError):
             GameConfig(**bad)
     GameConfig(**good, horizon=math.inf, discount=0.9)
-    GameConfig(**dict(good, b_t0=np.int64(200)))
+    GameConfig(**dict(good, b_t0=np.int64(200), alpha=np.float64(0.4), horizon=np.int64(8)))
 
 
 def test_effective_horizon_battery_cap():
@@ -429,9 +486,8 @@ def test_solve_full_game_solves_each_capped_game_once(cfg, monkeypatch):
         want += levels * sum(min(full, cfg.b_j0 + 1) + max(0, min(cfg.b_j0, g * full) - full + 1)
                              for g in range(low + 1, depth + 1))
     assert seen["instances"] == want
-    # one call per column group and block with a depth left to solve
-    groups = min(full, cfg.b_j0 + 1) + (cfg.b_j0 >= full)
-    assert seen["calls"] == solved * groups
+    # one call per block with a depth left to solve
+    assert seen["calls"] == solved
 
 
 def test_stage_batch_pivots_neighbour_repeats_once(monkeypatch):
