@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error,
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -26,7 +27,7 @@ from .analysis import DEFAULT_SEED, SensitivitySpec
 from .channel import (AcousticEnvironment, EmpiricalPerTable, RsCode, TxParams,
                       error_model_for_distance)
 from .errors import ConfigError, SolverError, TableError
-from .solver import GameConfig, GameState
+from .solver import GameConfig, GameState, _check_field_types
 
 __all__ = ["ScenarioConfig", "main"]
 
@@ -38,6 +39,10 @@ SOLVE_MODELS = PER_MODES + ("dummy",)
 REPORT_COLUMNS = ["distance_m", "alpha", "gamma", "lifetime", "lifetime_ci",
                   "psucc", "psucc_ci", "sigma", "solve_model", "true_model",
                   "psucc_first_frame"]
+
+
+def _is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -73,12 +78,14 @@ class ScenarioConfig:
     discount: float = 1.0
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.per_mode not in PER_MODES:
             raise ConfigError(f"per_mode must be one of {PER_MODES}, got {self.per_mode!r}")
         # a NaN distance compares false both ways, so test finiteness too
         if not (math.isfinite(self.d_tr) and self.d_tr > 0):
             raise ConfigError("d_tr must be a positive finite distance")
-        if not self.sweep or not all(math.isfinite(d) and d > 0 for d in self.sweep):
+        if not self.sweep or not all(_is_number(d) and math.isfinite(d) and d > 0
+                                     for d in self.sweep):
             raise ConfigError("sweep must be a nonempty list of positive finite distances")
         if self.d_jr is not None and not (math.isfinite(self.d_jr) and self.d_jr > 0):
             raise ConfigError("d_jr must be a positive finite distance")
@@ -98,9 +105,10 @@ class ScenarioConfig:
             if "sweep" in merged:
                 if not isinstance(merged["sweep"], (list, tuple)):
                     raise ConfigError("sweep must be a list of distances")
-                merged["sweep"] = tuple(float(d) for d in merged["sweep"])
+                merged["sweep"] = tuple(float(d) if _is_number(d) else d
+                                        for d in merged["sweep"])
             return cls(**merged)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"bad scenario config: {exc}") from None

@@ -95,6 +95,22 @@ def is_terminal(state, k):
     return state.b_t < k
 
 
+_FIELD_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+                str: (str, "a string")}
+
+
+def _check_field_types(config):
+    """Raise ConfigError unless every int, float or str field of the
+    dataclass config holds an integer, a number or a string, never a bool
+    (or None where None is the field's default)."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in _FIELD_KINDS and not (value is None and f.default is None):
+            kind, what = _FIELD_KINDS[f.type]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GameConfig:
     """Full specification of one game instance.
@@ -120,12 +136,7 @@ class GameConfig:
     discount: float = 1.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind, what = ((numbers.Integral, "an integer") if f.type is int
-                          else (numbers.Real, "a number"))
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+        _check_field_types(self)
         if self.k < 1:
             raise ConfigError("k must be a positive integer")
         if self.b_t0 < 0 or self.b_j0 < 0:
@@ -712,24 +723,33 @@ def fixed_policy_table(config, t_policy, j_policy):
 # persistence
 
 
-def _states_payload(table):
-    k = table.config.k
-    payload = []
-    for b_t in range(k, table.config.b_t0 + 1):
-        # tolist() gives the Python floats float() would; one level at a
-        # time keeps the unused zero entries from piling up
-        t_rows = table.t_probs[b_t, :, : min(2 * k, b_t) - k + 1].tolist()
-        j_rows = table.j_probs[b_t].tolist()
-        values = table.values[b_t].tolist()
-        for b_j, (strat_t, strat_j, value) in enumerate(zip(t_rows, j_rows, values)):
-            payload.append({
-                "b_t": b_t,
-                "b_j": b_j,
-                "strat_t": strat_t,
-                "strat_j": strat_j[: min(2 * k - 1, b_j) + 1],
-                "value": value,
-            })
-    return payload
+def _states_text(table):
+    """The compact JSON text of a table's state records, in (b_t, b_j) order.
+
+    Each distinct record (legal strategy prefixes and value, compared as
+    bytes, so -0.0 and 0.0 stay apart) is encoded once, in one
+    ``json.dumps`` call; each state puts its battery pair in front.
+    """
+    cfg = table.config
+    k = cfg.k
+    b_t, b_j = (grid.ravel() for grid in np.mgrid[k:cfg.b_t0 + 1, :cfg.b_j0 + 1])
+    t_width = np.minimum(2 * k, b_t) - k + 1
+    j_width = np.minimum(2 * k - 1, b_j) + 1
+    t_rows = np.where(np.arange(k + 1) < t_width[:, None], table.t_probs[b_t, b_j], 0.0)
+    j_rows = np.where(np.arange(2 * k) < j_width[:, None], table.j_probs[b_t, b_j], 0.0)
+    values = table.values[b_t, b_j]
+    # the widths join the key, so a shorter row padded with zeros stays apart
+    rows = np.column_stack([t_rows, j_rows, values, t_width, j_width]).astype(float)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = json.dumps([{"strat_t": t[:t_w], "strat_j": j[:j_w], "value": v}
+                           for t, j, v, t_w, j_w in zip(*(col[first].tolist() for col in (
+                               t_rows, j_rows, values, t_width, j_width)))],
+                          separators=(",", ":"))
+    # numbers hold no braces, so "},{" only ever ends a record
+    texts = distinct[2:-2].split("},{")
+    return "[" + ",".join(map('{{"b_t":{},"b_j":{},{}}}'.format, b_t.tolist(), b_j.tolist(),
+                              map(texts.__getitem__, inverse.tolist()))) + "]"
 
 
 def _checksum(states_payload):
@@ -742,25 +762,39 @@ def _checksum(states_payload):
 # text _checksum hashes (b_j, b_t, strat_j, strat_t, value)
 _SWAPPED_MEMBERS = re.compile(
     r'("b_t":\d+,)("b_j":\d+,)("strat_t":\[[^\]]*\],)("strat_j":\[[^\]]*\],)')
+# the text after a record's strat_j member: its value member, then "},{"
+# before the next record or "}]" after the last
+_VALUE_MEMBER = re.compile(r'"value":([^\[\]{},"]*)\}(?:,\{|\])')
 # characters of states text rewritten at a time
 _BLOCK = 1 << 20
 
 
-def _canonical_digest(text, start, stop):
+def _canonical_digest(text, start, stop, members=None):
     """(checksum, records rewritten) of the compact states text
     text[start:stop].
 
     Swapping the two member pairs of every record turns the text into
     the canonical text :func:`_checksum` encodes, so no float is encoded
-    again. It goes about ``_BLOCK`` characters at a time, cut between
-    records, so the pieces it is split into stay small.
+    again. It goes about ``_BLOCK`` characters at a time, cut after the
+    "},{" between two records, so the pieces it is split into stay small.
+
+    ``members``, six (dict, list) pairs, also numbers the texts the split
+    yields (each block's text before its first record, then each
+    record's b_t, b_j, strat_t and strat_j members and the text after
+    them) in order of first occurrence, one dict and list per kind.
     """
     digest = hashlib.sha256()
     records = 0
     while start < stop:
-        # just past the closing brace of a record, or at stop
-        end = text.find("},", start + _BLOCK, stop) + 1 or stop
+        # just past the "},{" after a record, or at stop
+        end = text.find("},{", start + _BLOCK, stop)
+        end = stop if end < 0 else end + 3
         parts = _SWAPPED_MEMBERS.split(text[start:end])
+        for i, (index, order) in enumerate(members or ()):
+            texts = parts[i::5] if i else parts[:1]
+            for new in dict.fromkeys(texts):
+                index.setdefault(new, len(index))
+            order.extend(map(index.__getitem__, texts))
         parts[1::5], parts[2::5], parts[3::5], parts[4::5] = (
             parts[2::5], parts[1::5], parts[4::5], parts[3::5])
         digest.update("".join(parts).encode())
@@ -776,18 +810,43 @@ def _tail(meta):
     return ',"meta":' + json.dumps(meta, separators=(",", ":")) + "}\n"
 
 
-def _file_digest(text):
-    """(checksum, tail) read from the text of a file laid out as
-    export_table writes it, or None where no states list is found."""
-    start = text.find('"states":[')
-    if start < 0:
-        return None
-    start += len('"states":')
+def _read_compact(text):
+    """(digest, doc, columns) read from the text of a table file.
+
+    digest is the (checksum, tail) around the first states list, or None.
+    If every record reads exactly as export_table writes it and the
+    checksum checks, doc is the document with its states list emptied
+    and columns holds, for b_t, b_j, strat_t, strat_j and value, each
+    distinct member text parsed once and every record's index among
+    them; otherwise both are None.
+    """
+    start = text.find('"states":[') + len('"states":')
     # records hold no nested objects, so the first "}]" closes the list
     end = start if text.startswith("[]", start) else text.find("}]", start)
-    if end < 0:
-        return None
-    return _canonical_digest(text, start, end + 2)[0], text[end + 2:]
+    if start < len('"states":') or end < 0:
+        return None, None, None
+    (heads, _), *fields = members = [({}, []) for _ in range(6)]
+    digest = _canonical_digest(text, start, end + 2, members)[0], text[end + 2:]
+    columns = []
+    try:
+        doc = json.loads(text[:start] + "[]" + text[end + 2:])
+        if (list(heads) not in (["[{"], ["[{", ""]) or not isinstance(doc, dict)
+                or doc.get("states") != []
+                or digest != (doc.get("checksum"), _tail(doc.get("meta")))):
+            return digest, None, None
+        for (index, order), cut in zip(fields, (6, 6, 10, 10, 0)):
+            texts = ([member[cut:-1] for member in index] if cut
+                     else [match[1] for match in map(_VALUE_MEMBER.fullmatch, index)])
+            parsed = json.loads("[" + ",".join(texts) + "]")
+            # strategy entries and values must be floats: a string, an
+            # object or a nested list could span the texts joined here
+            leaves = itertools.chain.from_iterable(parsed) if cut == 10 else parsed
+            if cut != 6 and set(map(type, leaves)) - {float}:
+                return digest, None, None
+            columns.append((parsed, np.array(order)))
+    except (TypeError, json.JSONDecodeError):  # a value text that did not match, or not JSON
+        return digest, None, None
+    return digest, doc, columns
 
 
 def export_table(table, path, meta=None):
@@ -797,12 +856,12 @@ def export_table(table, path, meta=None):
     round-trip form, so identical tables produce identical bytes. A
     sha256 checksum over the state records guards against truncation.
 
-    The state records are encoded once. The checksum's canonical
-    (sorted-key) text is derived from that encoding by reordering record
-    members, and the header, the states text and the meta tail are
-    written in pieces, so no second copy of the document is built. The
-    bytes equal ``json.dumps(doc, separators=(",", ":"))`` plus a
-    newline.
+    Each distinct record is encoded once (:func:`_states_text`). The
+    checksum's canonical (sorted-key) text is derived from that encoding
+    by reordering record members, and the header, the states text and
+    the meta tail are written in pieces, so no second copy of the
+    document is built. The bytes equal
+    ``json.dumps(doc, separators=(",", ":"))`` plus a newline.
 
     :param meta: optional JSON-serializable dict of caller context
         (for example the jammer distance a table was solved at)
@@ -810,8 +869,7 @@ def export_table(table, path, meta=None):
     The file is replaced in one step: a failed export leaves any earlier
     file at path untouched and no partial file behind.
     """
-    # the records are dropped once encoded: the text holds them compactly
-    states_text = json.dumps(_states_payload(table), separators=(",", ":"))
+    states_text = _states_text(table)
     checksum, records = _canonical_digest(states_text, 0, len(states_text))
     if records != table.n_states:
         checksum = _checksum(json.loads(states_text))
@@ -843,25 +901,25 @@ def export_table(table, path, meta=None):
 def load_table(path):
     """Load a table written by :func:`export_table`.
 
-    Raises :class:`TableError` on format or version mismatch, checksum
+    Raises :class:`TableError` on a file that is not UTF-8 JSON, format
+    or version mismatch, a config that is not a valid game config, checksum
     failure, NaN or infinite entries, or strategy rows that are not
     probability distributions.
     The loaded table carries deployed strategies and values only.
 
-    The checksum is read from the file's own text: before parsing, the
-    states text is turned into the canonical text by the same member
-    reordering export_table uses, and hashed. That hash settles the
-    check when the rest of the file is exactly what export_table writes
-    around it. Otherwise (other whitespace, key order or float spelling)
-    the parsed records are encoded again and hashed, so such a file
-    still loads and a corrupt one still fails.
+    A file laid out as export_table writes it is parsed one distinct
+    member text at a time (:func:`_read_compact`). Any other file (other
+    whitespace, key order or float spelling) is parsed whole, and its
+    records are encoded again for the checksum unless the hash of its
+    states text settles it. Both ways run the same checks.
     """
-    with open(path) as fh:
-        text = fh.read()
-    digest = _file_digest(text)
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        digest, doc, columns = _read_compact(text)
+        if columns is None:
+            doc = json.loads(text)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TableError(f"{path}: not a valid table file: {exc}") from None
     del text  # the parsed records take its place
     if not isinstance(doc, dict) or doc.get("format") != TABLE_FORMAT:
@@ -872,7 +930,12 @@ def load_table(path):
     for field in ("config", "checksum", "states"):
         if field not in doc:
             raise TableError(f"{path}: missing field {field!r}")
-    config = GameConfig.from_dict(doc["config"])
+    try:
+        if not isinstance(doc["config"], dict):
+            raise ConfigError("config must be a JSON object")
+        config = GameConfig.from_dict(doc["config"])
+    except ConfigError as exc:
+        raise TableError(f"{path}: {exc}") from None
     states = doc["states"]
     # a tail other than export_table's could hold a second "states" key
     # that the parser takes instead of the text hashed above
@@ -885,12 +948,17 @@ def load_table(path):
     values = np.zeros((config.b_t0 + 1, config.b_j0 + 1))
     expected = max(0, config.b_t0 - k + 1) * (config.b_j0 + 1)
     try:
-        if len(states) != expected:
-            raise TableError(f"{path}: {len(states)} states, expected {expected}")
+        count = len(states) if columns is None else len(columns[0][1])
+        if count != expected:
+            raise TableError(f"{path}: {count} states, expected {expected}")
         if expected:
-            # one array per record field, checked and written whole
-            b_t = np.array([rec["b_t"] for rec in states])
-            b_j = np.array([rec["b_j"] for rec in states])
+            # one array per record field, checked and written whole: each
+            # column's distinct entries (a parsed document's every record,
+            # taken whole by slice(None)) are converted once and gathered
+            (b_t, b_t_at), (b_j, b_j_at), strat_t, strat_j, (value, value_at) = columns or [
+                ([rec[name] for rec in states], slice(None))
+                for name in ("b_t", "b_j", "strat_t", "strat_j", "value")]
+            b_t, b_j = np.array(b_t)[b_t_at], np.array(b_j)[b_j_at]
             if b_t.dtype.kind != "i" or b_j.dtype.kind != "i":
                 raise TypeError("battery levels must be integers")
             outside = np.flatnonzero((b_t < k) | (b_t > config.b_t0)
@@ -898,24 +966,23 @@ def load_table(path):
             if outside.size:
                 i = outside[0]
                 raise TableError(f"{path}: state ({b_t[i]}, {b_j[i]}) outside the grid")
-            values[b_t, b_j] = [rec["value"] for rec in states]
-            for target, field, width in (
-                    (t_probs, "strat_t", np.minimum(2 * k, b_t) - k + 1),
-                    (j_probs, "strat_j", np.minimum(2 * k - 1, b_j) + 1)):
-                strats = [rec[field] for rec in states]
+            values[b_t, b_j] = np.array(value)[value_at]
+            for target, (strats, at), width in (
+                    (t_probs, strat_t, np.minimum(2 * k, b_t) - k + 1),
+                    (j_probs, strat_j, np.minimum(2 * k - 1, b_j) + 1)):
                 lengths = np.array([len(strat) for strat in strats])
-                wrong = np.flatnonzero(lengths != width)
+                wrong = np.flatnonzero(lengths[at] != width)
                 if wrong.size:
                     i = wrong[0]
                     raise TableError(f"{path}: wrong strategy length at ({b_t[i]}, {b_j[i]})")
-                # a boolean mask fills row by row, so record r's entries
-                # land in the first width[r] columns of row r
-                legal = np.arange(target.shape[2]) < width[:, None]
+                # a boolean mask fills row by row, so entry r's numbers
+                # land in the first lengths[r] columns of row r
+                legal = np.arange(target.shape[2]) < lengths[:, None]
                 rows = np.zeros(legal.shape)
                 rows[legal] = np.fromiter(itertools.chain.from_iterable(strats), float,
                                           count=int(lengths.sum()))
-                target[b_t, b_j] = rows
-    except (KeyError, TypeError, ValueError) as exc:
+                target[b_t, b_j] = rows[at]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TableError(f"{path}: malformed state record: {exc}") from None
     for arr, label in ((values, "value"), (t_probs, "strat_t"), (j_probs, "strat_j")):
         if not np.isfinite(arr).all():

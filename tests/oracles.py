@@ -12,14 +12,21 @@ checks how solve_full_game batches and dedupes those games, bit for bit.
 simulate_reference replays Monte Carlo runs one at a time, the loop the
 package's chunked simulator must match exactly. export_text_reference
 writes a table file by encoding the whole document and, for the
-checksum, every record a second time with sorted keys.
+checksum, every record a second time with sorted keys; load_reference
+reads one by parsing the whole document and converting every record's
+members, the loader the package's per-distinct-record reader must agree
+with.
 """
 
 import hashlib
 import itertools
 import json
+import re
 
 import numpy as np
+
+from uwjam.errors import TableError
+from uwjam.solver import TABLE_FORMAT, TABLE_VERSION, GameConfig, StrategyTable
 
 
 def marcum_q1_reference(a, b, dps=50):
@@ -373,8 +380,6 @@ def export_text_reference(table, meta=None):
     and the file is the whole document encoded compactly, plus a newline.
     Records are built from the table's arrays one state at a time.
     """
-    from uwjam.solver import TABLE_FORMAT, TABLE_VERSION
-
     cfg = table.config
     k = cfg.k
     states = [{"b_t": b_t,
@@ -396,3 +401,155 @@ def export_text_reference(table, meta=None):
     if meta is not None:
         doc["meta"] = meta
     return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the table loader as it stood before loading went one distinct record at
+# a time: hashes the states text of a compact file, parses every file as
+# one document and converts every record's members
+
+
+def _checksum(states_payload):
+    canonical = json.dumps(states_payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+# The members of a record whose order in the compact text export_table
+# writes (b_t, b_j, strat_t, strat_j, value) differs from the sorted-key
+# text _checksum hashes (b_j, b_t, strat_j, strat_t, value)
+_SWAPPED_MEMBERS = re.compile(
+    r'("b_t":\d+,)("b_j":\d+,)("strat_t":\[[^\]]*\],)("strat_j":\[[^\]]*\],)')
+# characters of states text rewritten at a time
+_BLOCK = 1 << 20
+
+
+def _canonical_digest(text, start, stop):
+    """(checksum, records rewritten) of the compact states text
+    text[start:stop].
+
+    Swapping the two member pairs of every record turns the text into
+    the canonical text :func:`_checksum` encodes, so no float is encoded
+    again. It goes about ``_BLOCK`` characters at a time, cut between
+    records, so the pieces it is split into stay small.
+    """
+    digest = hashlib.sha256()
+    records = 0
+    while start < stop:
+        # just past the closing brace of a record, or at stop
+        end = text.find("},", start + _BLOCK, stop) + 1 or stop
+        parts = _SWAPPED_MEMBERS.split(text[start:end])
+        parts[1::5], parts[2::5], parts[3::5], parts[4::5] = (
+            parts[2::5], parts[1::5], parts[4::5], parts[3::5])
+        digest.update("".join(parts).encode())
+        records += len(parts) // 5
+        start = end
+    return digest.hexdigest(), records
+
+
+def _tail(meta):
+    """The text export_table writes after the states list."""
+    if meta is None:
+        return "}\n"
+    return ',"meta":' + json.dumps(meta, separators=(",", ":")) + "}\n"
+
+
+def _file_digest(text):
+    """(checksum, tail) read from the text of a file laid out as
+    export_table writes it, or None where no states list is found."""
+    start = text.find('"states":[')
+    if start < 0:
+        return None
+    start += len('"states":')
+    # records hold no nested objects, so the first "}]" closes the list
+    end = start if text.startswith("[]", start) else text.find("}]", start)
+    if end < 0:
+        return None
+    return _canonical_digest(text, start, end + 2)[0], text[end + 2:]
+
+
+def load_reference(path):
+    """Load a table written by :func:`export_table`.
+
+    Raises :class:`TableError` on format or version mismatch, checksum
+    failure, NaN or infinite entries, or strategy rows that are not
+    probability distributions.
+    The loaded table carries deployed strategies and values only.
+
+    The checksum is read from the file's own text: before parsing, the
+    states text is turned into the canonical text by the same member
+    reordering export_table uses, and hashed. That hash settles the
+    check when the rest of the file is exactly what export_table writes
+    around it. Otherwise (other whitespace, key order or float spelling)
+    the parsed records are encoded again and hashed, so such a file
+    still loads and a corrupt one still fails.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    digest = _file_digest(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TableError(f"{path}: not a valid table file: {exc}") from None
+    del text  # the parsed records take its place
+    if not isinstance(doc, dict) or doc.get("format") != TABLE_FORMAT:
+        raise TableError(f"{path}: not a {TABLE_FORMAT} file")
+    if doc.get("version") != TABLE_VERSION:
+        raise TableError(f"{path}: unsupported version {doc.get('version')!r}, "
+                         f"expected {TABLE_VERSION}")
+    for field in ("config", "checksum", "states"):
+        if field not in doc:
+            raise TableError(f"{path}: missing field {field!r}")
+    config = GameConfig.from_dict(doc["config"])
+    states = doc["states"]
+    # a tail other than export_table's could hold a second "states" key
+    # that the parser takes instead of the text hashed above
+    if (digest != (doc["checksum"], _tail(doc.get("meta")))
+            and _checksum(states) != doc["checksum"]):
+        raise TableError(f"{path}: checksum mismatch, file corrupt or truncated")
+    k = config.k
+    t_probs = np.zeros((config.b_t0 + 1, config.b_j0 + 1, k + 1))
+    j_probs = np.zeros((config.b_t0 + 1, config.b_j0 + 1, 2 * k))
+    values = np.zeros((config.b_t0 + 1, config.b_j0 + 1))
+    expected = max(0, config.b_t0 - k + 1) * (config.b_j0 + 1)
+    try:
+        if len(states) != expected:
+            raise TableError(f"{path}: {len(states)} states, expected {expected}")
+        if expected:
+            # one array per record field, checked and written whole
+            b_t = np.array([rec["b_t"] for rec in states])
+            b_j = np.array([rec["b_j"] for rec in states])
+            if b_t.dtype.kind != "i" or b_j.dtype.kind != "i":
+                raise TypeError("battery levels must be integers")
+            outside = np.flatnonzero((b_t < k) | (b_t > config.b_t0)
+                                     | (b_j < 0) | (b_j > config.b_j0))
+            if outside.size:
+                i = outside[0]
+                raise TableError(f"{path}: state ({b_t[i]}, {b_j[i]}) outside the grid")
+            values[b_t, b_j] = [rec["value"] for rec in states]
+            for target, field, width in (
+                    (t_probs, "strat_t", np.minimum(2 * k, b_t) - k + 1),
+                    (j_probs, "strat_j", np.minimum(2 * k - 1, b_j) + 1)):
+                strats = [rec[field] for rec in states]
+                lengths = np.array([len(strat) for strat in strats])
+                wrong = np.flatnonzero(lengths != width)
+                if wrong.size:
+                    i = wrong[0]
+                    raise TableError(f"{path}: wrong strategy length at ({b_t[i]}, {b_j[i]})")
+                # a boolean mask fills row by row, so record r's entries
+                # land in the first width[r] columns of row r
+                legal = np.arange(target.shape[2]) < width[:, None]
+                rows = np.zeros(legal.shape)
+                rows[legal] = np.fromiter(itertools.chain.from_iterable(strats), float,
+                                          count=int(lengths.sum()))
+                target[b_t, b_j] = rows
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TableError(f"{path}: malformed state record: {exc}") from None
+    for arr, label in ((values, "value"), (t_probs, "strat_t"), (j_probs, "strat_j")):
+        if not np.isfinite(arr).all():
+            raise TableError(f"{path}: {label} holds NaN or infinity")
+    for probs, label in ((t_probs, "strat_t"), (j_probs, "strat_j")):
+        sums = probs[k:, :, :].sum(axis=2)
+        if (probs < 0.0).any() or (np.abs(sums - 1.0) > 1e-9).any():
+            raise TableError(f"{path}: {label} rows are not distributions")
+    return StrategyTable(config, t_probs, j_probs, values,
+                         horizon_values=None, meta=doc.get("meta"))

@@ -303,6 +303,14 @@ def test_exit_codes(tmp_path, scenario, tables_dir):
     fake = tmp_path / "fake.json"
     fake.write_text(json.dumps({"format": "nope"}))
     assert main(["inspect-table", "--table", str(fake)]) == 4
+    # a table file that is not UTF-8, or whose config is not an object or
+    # not a valid game config
+    fake.write_bytes(b"\xff\xfe{}")
+    assert main(["inspect-table", "--table", str(fake)]) == 4
+    doc = json.loads((tables_dir / "table_djr50m.json").read_text())
+    for config in ([1], {**doc["config"], "k": "4"}):
+        fake.write_text(json.dumps({**doc, "config": config}))
+        assert main(["inspect-table", "--table", str(fake)]) == 4, config
 
     # meta sits outside the checksum; a bad one is a table fault
     table = load_table(tables_dir / "table_djr50m.json")
@@ -347,6 +355,23 @@ def test_solver_failure_exit_code(tmp_path, scenario, monkeypatch):
     out = tmp_path / "table.json"
     assert main(["solve", "--config", scenario, "--d-jr", "60", "--out", str(out)]) == 5
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [
+    {"d_tr": True}, {"d_jr": False}, {"sweep": [True, "60"]}, {"sweep": ["60"]},
+    {"power_t_db": True}, {"frequency_khz": "26"}, {"bit_rate": None},
+    {"packet_bits": 512.5}, {"packet_bits": True}, {"rs_n": 127.0}, {"rs_k": "78"},
+    {"rs_sym_bits": False}, {"sweep": [10 ** 400]},
+    {"per_mode": "empirical", "empirical_path": 0}, {"per_mode": ["uncoded"]},
+])
+def test_scenario_fields_must_have_their_types(tmp_path, edit):
+    # a bool or a numeric string used to pass as a number, and a number
+    # as an empirical path (read as a file descriptor)
+    with pytest.raises(ConfigError):
+        ScenarioConfig.from_dict(edit)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(edit))
+    assert main(["per-sweep", "--config", str(path)]) == 2
 
 
 def test_scenario_config_rejects_unknown_keys():

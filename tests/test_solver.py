@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import uwjam.solver
+from uwjam.cli import ScenarioConfig, game_config_for
 from uwjam.errors import ConfigError, SolverError, TableError
 from uwjam.solver import (
     GameConfig,
@@ -906,7 +907,9 @@ def test_export_equals_two_encode_reference(tmp_path, export_game, meta, monkeyp
     path = tmp_path / "table.json"
     export_table(export_game, path, meta=meta)
     assert path.read_bytes() == oracles.export_text_reference(export_game, meta).encode()
-    # a fresh export loads without encoding its records again
+    # a fresh export loads without encoding its records again, one
+    # distinct record at a time
+    assert _read_per_record(path) == (export_game.n_states > 0)
     _spy_checksum(monkeypatch, fail=True)
     loaded = load_table(path)
     assert loaded.meta == meta
@@ -923,7 +926,10 @@ def test_export_and_load_cut_the_states_text_between_records(tmp_path, small_gam
     export_table(table, path, meta={"d_jr": 60.0})
     assert path.read_bytes() == oracles.export_text_reference(table, {"d_jr": 60.0}).encode()
     _spy_checksum(monkeypatch, fail=True)
-    assert load_table(path).values.tobytes() == table.values.tobytes()
+    assert _read_per_record(path)
+    loaded = load_table(path)
+    for name in ("values", "t_probs", "j_probs"):
+        assert getattr(loaded, name).tobytes() == getattr(table, name).tobytes()
 
 
 def test_export_bytes_pinned(tmp_path, small_game):
@@ -933,6 +939,24 @@ def test_export_bytes_pinned(tmp_path, small_game):
     export_table(table, path, meta={"d_jr": 60.0, "per_mode": "uncoded"})
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "3eb98804f51cfc707a5b11a312e215ef4fb914d03e1382292aa287241b8a2353")
+
+
+@pytest.fixture(scope="module", params=[20.0, 60.0], ids=["d20m", "d60m"])
+def full_scale_gamma1(request):
+    cfg = game_config_for(ScenarioConfig(horizon=1), request.param)
+    return solve_full_game(cfg), {"d_jr": request.param, "per_mode": "uncoded"}
+
+
+def test_full_scale_export_bytes_pinned(tmp_path, full_scale_gamma1):
+    # sha256 of the 200x200 gamma = 1 exports as written when every
+    # record was encoded on its own
+    table, meta = full_scale_gamma1
+    path = tmp_path / "table.json"
+    export_table(table, path, meta=meta)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == {
+        20.0: "1dd70e273d9bcbd7f9d9801321e6a7fcfb90f0ff8d7ca22159dac4a0d25f67e5",
+        60.0: "5732140c2c77480e2e016f9314f3e21ac683abbe46bdd11a5a2a68f9a443c7ca",
+    }[meta["d_jr"]]
 
 
 def test_export_falls_back_when_records_are_not_rewritten(tmp_path, small_game, monkeypatch):
@@ -995,3 +1019,213 @@ def test_load_reads_the_states_key_the_parser_keeps(tmp_path, small_game):
     path.write_text(text[:-2] + ',"states":' + json.dumps(states, separators=(",", ":")) + "}\n")
     with pytest.raises(TableError, match="checksum"):
         load_table(path)
+
+
+# ---------------------------------------------------------------------------
+# table I/O one distinct record at a time, against the whole-document
+# writer and reader in oracles
+
+
+def _loads_as_reference(path):
+    """Whether oracles.load_reference accepts path; load_table must agree,
+    with bit-equal arrays and equal config and meta."""
+    try:
+        want = oracles.load_reference(path)
+    except TableError:
+        with pytest.raises(TableError):
+            load_table(path)
+        return False
+    got = load_table(path)
+    assert (got.config, got.meta) == (want.config, want.meta)
+    for name in ("values", "t_probs", "j_probs"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    return True
+
+
+def _read_per_record(path):
+    """Whether load_table reads path one distinct member text at a time
+    rather than parsing the whole document."""
+    return uwjam.solver._read_compact(path.read_text())[2] is not None
+
+
+def _check_round_trip(path, table, meta=None):
+    export_table(table, path, meta=meta)
+    assert path.read_bytes() == oracles.export_text_reference(table, meta).encode()
+    assert _loads_as_reference(path)
+    # an empty states list has no records to read one at a time
+    assert _read_per_record(path) == (table.n_states > 0)
+
+
+def test_table_io_equals_reference_on_export_configs(tmp_path, export_game):
+    _check_round_trip(tmp_path / "table.json", export_game, {"d_jr": 60.0})
+
+
+def test_table_io_equals_reference_at_full_scale(tmp_path, full_scale_gamma1):
+    _check_round_trip(tmp_path / "table.json", *full_scale_gamma1)
+
+
+def test_table_io_equals_reference_on_degenerate_grid(tmp_path):
+    # 486 small games with PERs of 0 or 1 and corner parameters, whose
+    # records repeat heavily
+    per_pairs = ((0.0, 0.0), (0.0, 0.7), (0.0, 1.0), (0.3, 0.7), (0.3, 1.0), (1.0, 1.0))
+    configs = [GameConfig(k=k, b_t0=12, b_j0=b_j0, alpha=alpha, p_clear=p_clear,
+                          p_blocked=p_blocked, horizon=horizon, discount=discount)
+               for k in (1, 2, 3)
+               for p_clear, p_blocked in per_pairs
+               for alpha in (0.0, 0.5, 1.0)
+               for horizon, discount in ((1, 1.0), (4, 1.0), (math.inf, 0.9))
+               for b_j0 in (0, 3, 12)]
+    assert len(configs) == 486
+    for cfg in configs:
+        _check_round_trip(tmp_path / "table.json", solve_full_game(cfg))
+
+
+def test_export_keeps_signed_zeros_apart(tmp_path, small_game):
+    # records equal but for the sign of a zero are encoded apart
+    cfg, table = small_game
+    values = np.zeros_like(table.values)
+    values[:, ::2] = -0.0
+    t_probs = np.zeros_like(table.t_probs)
+    t_probs[..., 0] = 1.0
+    t_probs[:, 1::3, 1] = -0.0
+    signed = uwjam.solver.StrategyTable(cfg, t_probs, table.j_probs, values)
+    path = tmp_path / "table.json"
+    _check_round_trip(path, signed)
+    assert '"value":-0.0' in path.read_text() and '"value":0.0' in path.read_text()
+
+
+def _mark(field, literal, index=5):
+    """An edit writing literal, raw, as a record's field; with several
+    literals, as the field of that record and the ones after it."""
+    literals = [literal] if isinstance(literal, str) else literal
+
+    def edit(states):
+        for rec in states[index:index + len(literals)]:
+            rec[field] = "@mark"
+    return edit, literals
+
+
+def _compact_file(path, table, edit, literals=None, own_checksum=True):
+    """Write table as export_table lays it out, with edit applied to its
+    records and the members edit marked written as the literals, in
+    order. The checksum is the hash of the file's own states text or of
+    its records encoded again; a file that is not JSON takes the first."""
+    export_table(table, path)
+    doc = json.loads(path.read_text())
+    edit(doc["states"])
+    text = json.dumps(doc, separators=(",", ":")) + "\n"
+    for raw in literals or ():
+        text = text.replace('"@mark"', raw, 1)
+    try:
+        checksum = (oracles._file_digest(text)[0] if own_checksum
+                    else oracles._checksum(json.loads(text)["states"]))
+    except ValueError:
+        checksum = oracles._file_digest(text)[0]
+    path.write_text(text.replace(doc["checksum"], checksum))
+
+
+@pytest.mark.parametrize("own_checksum", [True, False], ids=["own-text", "re-encoded"])
+@pytest.mark.parametrize("edit, literals", [
+    (lambda s: s[5].update(extra=1), None),
+    (lambda s: s.__setitem__(5, {"extra": 1, **s[5]}), None),
+    (lambda s: s[5]["strat_t"].__setitem__(0, "0.5"), None),
+    (lambda s: s[5]["strat_t"].__setitem__(0, repr(s[5]["strat_t"][0])), None),
+    (lambda s: s[5]["strat_j"].__setitem__(0, [s[5]["strat_j"][0]]), None),
+    (lambda s: s[5]["strat_t"].__setitem__(0, 1) if s[5]["strat_t"] == [1.0] else None, None),
+    _mark("value", "1e400"),
+    _mark("value", " 0.25"),
+    _mark("value", "true"),
+    _mark("value", "NaN"),
+    _mark("value", "1"),
+    _mark("b_t", "02"),
+    _mark("b_j", "5.0"),
+    _mark("strat_j", "[]"),
+    _mark("strat_t", '["]"]'),
+    # strings that would join two rows if the texts were parsed together
+    _mark("strat_t", ('["]', '[",0.5]')),
+    # a record the member split does not see, first or in the middle
+    _mark("b_t", " 2", 0),
+    _mark("b_t", " 2"),
+], ids=["extra-last", "extra-first", "string-entry", "numeric-string-entry", "nested-list",
+        "int-entry", "value-1e400", "value-space", "value-true", "value-nan",
+        "value-int", "b_t-leading-zero", "b_j-float", "strat-empty", "strat-bracket-string",
+        "strat-spanning-string",
+        "spaced-first-record", "spaced-record"])
+def test_hand_made_files_load_as_reference(tmp_path, small_game, edit, literals, own_checksum):
+    path = tmp_path / "table.json"
+    _compact_file(path, small_game[1], edit, literals, own_checksum)
+    _loads_as_reference(path)
+
+
+def test_repeated_records_with_one_edited_load_as_reference(tmp_path):
+    # a table whose records repeat heavily; one copy of the most common
+    # record is edited and the checksum recomputed both ways
+    cfg = GameConfig(k=2, b_t0=12, b_j0=12, alpha=0.5, p_clear=0.0, p_blocked=0.0, horizon=4)
+    table = solve_full_game(cfg)
+    path = tmp_path / "table.json"
+    export_table(table, path)
+    states = json.loads(path.read_text())["states"]
+    texts = [json.dumps([rec["strat_t"], rec["strat_j"], rec["value"]]) for rec in states]
+    common = max(set(texts), key=texts.count)
+    copies = [i for i, text in enumerate(texts) if text == common]
+    assert len(copies) > 20
+    victim = copies[len(copies) // 2]
+
+    def shift_value(s):
+        s[victim]["value"] += 0.25
+
+    def negate_a_zero(s):
+        row = s[victim]["strat_t"] if 0.0 in s[victim]["strat_t"] else s[victim]["strat_j"]
+        row[row.index(0.0)] = -0.0
+
+    def cell(table, i):
+        state = states[i]["b_t"], states[i]["b_j"]
+        return b"".join(a[state].tobytes() for a in (table.values, table.t_probs, table.j_probs))
+
+    for edit in (shift_value, negate_a_zero):
+        for own_checksum in (True, False):
+            _compact_file(path, table, edit, own_checksum=own_checksum)
+            assert _loads_as_reference(path)
+            # both checksums agree on a compact file with shortest floats
+            assert _read_per_record(path)
+            # the edited copy no longer reads as its twins
+            loaded = load_table(path)
+            assert cell(loaded, victim) != cell(loaded, copies[0]) == cell(table, copies[0])
+
+
+def test_load_rejects_integer_values_beyond_float(tmp_path, small_game):
+    # the whole-document loader let the OverflowError out
+    path = tmp_path / "table.json"
+    _compact_file(path, small_game[1], *_mark("value", "1" + "0" * 400))
+    with pytest.raises(OverflowError):
+        oracles.load_reference(path)
+    with pytest.raises(TableError, match="malformed"):
+        load_table(path)
+
+
+def test_merged_records_load_as_reference(tmp_path, small_game):
+    # record 0 without its value and closing brace: its members and
+    # record 1's read as one object with repeated keys
+    path = tmp_path / "table.json"
+    export_table(small_game[1], path)
+    text = re.sub(r',"value":[^}]*\},\{', ",", path.read_text(), count=1)
+    for checksum in (oracles._file_digest(text)[0],
+                     oracles._checksum(json.loads(text)["states"])):
+        path.write_text(re.sub(r'"checksum":"\w+"', f'"checksum":"{checksum}"', text))
+        assert not _loads_as_reference(path)
+
+
+def test_load_rejects_unreadable_files(tmp_path, small_game):
+    path = tmp_path / "table.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(TableError, match="not a valid table file"):
+        load_table(path)
+    export_table(small_game[1], path)
+    doc = json.loads(path.read_text())
+    for config, match in (([1], "config must be a JSON object"), ("k", "JSON object"),
+                          (None, "JSON object"), ({"k": "x"}, "bad game config"),
+                          ({**doc["config"], "extra": 1}, "bad game config"),
+                          ({**doc["config"], "horizon": True}, "horizon must be a number")):
+        path.write_text(json.dumps({**doc, "config": config}, separators=(",", ":")) + "\n")
+        with pytest.raises(TableError, match=match):
+            load_table(path)
