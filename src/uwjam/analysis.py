@@ -5,8 +5,9 @@ graph, and a Monte Carlo simulator that replays frames mechanically
 (random slot subsets, per-packet coin flips) without reusing any of the
 analytic machinery, so the two act as independent checks on each other.
 The simulator steps each frame as one array operation across a chunk of
-runs; every run still draws from its own (seed, run) substreams, so
-results do not depend on the chunk size.
+runs, once for all sigmas of a sweep. Every run still draws from its own
+(seed, run) substreams, whose SeedSequence words a chunk computes for
+all its runs at once, so results do not depend on the chunk size.
 
 Lifetime counts frames until the transmitter battery drops below k:
 
@@ -23,6 +24,7 @@ matrix, which may be evaluated under a different error pair than the
 one the table was solved with (model mismatch).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -269,9 +271,9 @@ def simulate(table, runs, seed=DEFAULT_SEED, sigma=0.0, error_pair=None):
 def _simulate(table, runs, seed, sigmas, error_pair):
     """One :class:`SimulationResult` per sigma, all from the same runs.
 
-    A run's play uniforms do not depend on sigma, so each chunk draws
-    them once and plays every sigma from them; only one chunk's
-    uniforms are held, whatever the number of sigmas.
+    Only the coin test reads sigma, so each chunk draws its play
+    uniforms and steps its action path once for every sigma; only one
+    chunk's uniforms are held, whatever the number of sigmas.
     """
     if runs < 1:
         raise ValueError("need at least one run")
@@ -281,25 +283,80 @@ def _simulate(table, runs, seed, sigmas, error_pair):
     cum_t = np.cumsum(table.t_probs, axis=2)
     cum_j = np.cumsum(table.j_probs, axis=2)
     lmap = _lifetime_map(table)
-    lifetimes = np.empty((len(sigmas), runs))
+    lifetimes = np.empty(runs)
     successes = np.empty((len(sigmas), runs))
     for start in range(0, runs, _CHUNK):
         stop = min(start + _CHUNK, runs)
         chunk = range(start, stop)
         u = _play_uniforms(table.config, seed, chunk)
         z = _perturbations(seed, chunk) if any(sigma > 0.0 for sigma in sigmas) else None
-        for i, sigma in enumerate(sigmas):
-            lifetimes[i, start:stop], successes[i, start:stop] = _play_chunk(
-                table.config, cum_t, cum_j, lmap, u, *_channel(params, sigma, z, len(chunk)))
+        lifetimes[start:stop], successes[:, start:stop] = _play_chunk(
+            table.config, cum_t, cum_j, lmap, u, *_channel(params, sigmas, z, len(chunk)))
     return [SimulationResult(
         runs=runs,
         seed=seed,
         sigma=sigma,
-        mean_lifetime=float(lifetimes[i].mean()),
-        lifetime_ci=_ci_half_width(lifetimes[i]),
+        mean_lifetime=float(lifetimes.mean()),
+        lifetime_ci=_ci_half_width(lifetimes),
         success_rate=float(successes[i].mean()),
         success_ci=_ci_half_width(successes[i]),
     ) for i, sigma in enumerate(sigmas)]
+
+
+def _hash_chain(const, mult):
+    """SeedSequence's hash, whose constant steps by mult on every call."""
+    def hashed(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+    return hashed
+
+
+def _stream_words(seed, runs, key):
+    """SeedSequence((seed, run), spawn_key=(key,)).generate_state(4, np.uint64)
+    of every run at once, as numpy computes it (NEP 19), for an integer
+    seed >= 0 and runs below 2^32; the hash constants are shared by all."""
+    # entropy: the seed's 32-bit words, the run, zeros up to 4 words, the key
+    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.array([*words, 0] + [0] * (3 - len(words)) + [key], dtype=np.uint32)
+    entropy = entropy[:, None].repeat(len(runs), axis=1)
+    entropy[len(words)] = runs
+    hashed = _hash_chain(0x43B0D7E5, 0x931E8875)
+
+    def mix(x, y):
+        mixed = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * hashed(y)
+        return mixed ^ mixed >> 16
+
+    pool = [hashed(word) for word in entropy[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], pool[src])
+    for word in entropy[4:]:
+        pool = [mix(entry, word) for entry in pool]
+    hashed = _hash_chain(0x8B51F9DD, 0x58F38DED)
+    state = np.stack([hashed(pool[i % 4]) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _streams(seed, runs, key):
+    """Each run's PCG64 from SeedSequence((seed, run), spawn_key=(key,)):
+    the second (key 1) or first (key 0) child of SeedSequence((seed, run))."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0 and runs.stop <= 2 ** 32):
+        # SeedSequence takes or refuses any other seed
+        return [np.random.PCG64(np.random.SeedSequence((seed, run), spawn_key=(key,)))
+                for run in runs]
+    # defined here, not at import, which would import numpy.random
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KnownWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return [np.random.PCG64(KnownWords(words)) for words in _stream_words(int(seed), runs, key)]
 
 
 def _play_uniforms(cfg, seed, runs):
@@ -308,47 +365,42 @@ def _play_uniforms(cfg, seed, runs):
     # up to 2k packet coins
     draws = 2 + 2 * (2 * cfg.k - 1) + 2 * cfg.k
     u = np.empty((len(runs), cfg.b_t0 // cfg.k, draws))
-    for i, run in enumerate(runs):
-        # the second of the two children SeedSequence((seed, run)).spawn(2)
-        # would give, built directly
-        play_ss = np.random.SeedSequence((seed, run), spawn_key=(1,))
-        np.random.Generator(np.random.PCG64(play_ss)).random(out=u[i])
+    for i, stream in enumerate(_streams(seed, runs, 1)):
+        np.random.Generator(stream).random(out=u[i])
     return u
 
 
 def _perturbations(seed, runs):
     """Each run's two standard normals from its perturbation stream."""
-    z = np.empty((len(runs), 2))
-    for i, run in enumerate(runs):
-        # the first child of SeedSequence((seed, run)), as above
-        perturb_ss = np.random.SeedSequence((seed, run), spawn_key=(0,))
-        np.random.Generator(np.random.PCG64(perturb_ss)).standard_normal(out=z[i])
-    return z
+    return np.array([np.random.Generator(stream).standard_normal(2)
+                     for stream in _streams(seed, runs, 0)])
 
 
-def _channel(params, sigma, z, size):
-    """Per-run (p_clear, p_blocked) the channel applies at sigma, from
-    the runs' standard normals z (size, 2); z is only read when sigma > 0."""
-    p_clear = np.full(size, params.p_clear, dtype=float)
-    p_blocked = np.full(size, params.p_blocked, dtype=float)
-    if sigma > 0.0:
-        # Generator.normal(0.0, sigma) computes 0.0 + sigma * z from the
-        # same standard normals, so this matches it bit for bit
-        eps = 0.0 + sigma * z
-        p_clear = np.clip(p_clear + eps[:, 0], 0.0, 1.0)
-        p_blocked = np.maximum(np.clip(p_blocked + eps[:, 1], 0.0, 1.0), p_clear)
+def _channel(params, sigmas, z, size):
+    """Per-sigma, per-run (p_clear, p_blocked) the channel applies, from
+    the runs' standard normals z (size, 2); z is only read where sigma > 0."""
+    p_clear = np.full((len(sigmas), size), params.p_clear, dtype=float)
+    p_blocked = np.full((len(sigmas), size), params.p_blocked, dtype=float)
+    for i, sigma in enumerate(sigmas):
+        if sigma > 0.0:
+            # Generator.normal(0.0, sigma) computes 0.0 + sigma * z from
+            # the same standard normals, so this matches it bit for bit
+            eps = 0.0 + sigma * z
+            p_clear[i] = np.clip(p_clear[i] + eps[:, 0], 0.0, 1.0)
+            p_blocked[i] = np.maximum(np.clip(p_blocked[i] + eps[:, 1], 0.0, 1.0), p_clear[i])
     return p_clear, p_blocked
 
 
 def _play_chunk(cfg, cum_t, cum_j, lmap, u, p_clear, p_blocked):
-    """Lifetimes and success statistics of the runs whose uniforms are u."""
+    """Lifetimes (runs,) and success statistics (sigmas, runs) of the runs
+    whose uniforms are u; only the coin test reads the PERs (sigmas, runs)."""
     k = cfg.k
     slots = 2 * k - 1
     size = u.shape[0]
     b_t = np.full(size, cfg.b_t0)
     b_j = np.full(size, cfg.b_j0)
     frames = np.zeros(size)
-    stat = np.zeros(size)
+    stat = np.zeros(p_clear.shape)
     weight = np.ones(size)
     live = np.arange(size)
     ranks = np.arange(slots)
@@ -375,18 +427,18 @@ def _play_chunk(cfg, cum_t, cum_j, lmap, u, p_clear, p_blocked):
         np.put_along_axis(jammed, jam_order, ranks < n_j[:, None], axis=1)
         # the packet with t-rank r sits in slot packet_slots[:, r] and reads coin 1 + r
         hit = np.take_along_axis(jammed, packet_slots, axis=1)
-        pc, pb = p_clear[live], p_blocked[live]
+        pc, pb = p_clear[:, live, None], p_blocked[:, live, None]
         coins = row[:, 2 + 2 * slots:]
-        per = np.where(hit, pb[:, None], pc[:, None])
-        delivered = (coins[:, 0] >= pc) + (
-            (coins[:, 1:] >= per) & (ranks < n_t[:, None] - 1)).sum(axis=1)
+        per = np.where(hit, pb, pc)
+        delivered = (coins[:, 0] >= pc[..., 0]) + (
+            (coins[:, 1:] >= per) & (ranks < n_t[:, None] - 1)).sum(axis=-1)
         frames[live] += 1
         bt = bt - n_t
         bj = bj - n_j
         b_t[live], b_j[live] = bt, bj
         l_next = np.where(bt >= k, lmap[bt, bj], 0.0)
-        won = delivered >= k
-        stat[live[won]] += weight[live[won]] / (1.0 + l_next[won])
+        # adding 0.0 for a lost frame leaves a run's statistic as it was
+        stat[:, live] += np.where(delivered >= k, weight[live] / (1.0 + l_next), 0.0)
         weight[live] *= l_next / (1.0 + l_next)
     return frames, stat
 

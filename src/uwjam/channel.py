@@ -89,11 +89,6 @@ class TxParams:
         if self.bit_rate <= 0:
             raise ValueError("bit_rate must be positive")
 
-    @property
-    def slot_duration(self):
-        """Packet (slot) duration in seconds."""
-        return self.packet_bits / self.bit_rate
-
 
 @dataclass(frozen=True)
 class LinkBudget:

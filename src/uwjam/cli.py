@@ -223,6 +223,8 @@ def _resolve_seed(args):
     if args.seed is None:
         _log(f"seed not given, using default {DEFAULT_SEED}")
         return DEFAULT_SEED
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     return args.seed
 
 

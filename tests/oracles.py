@@ -9,6 +9,9 @@ acceptance tests certify stored strategies against them. These two
 take the frame payoffs and the legal action sets from the package; only
 backward_induction_reference also shares the single-game LP, because it
 checks how solve_full_game batches and dedupes those games, bit for bit.
+next_values_reference gathers a level block's successor values in one
+fancy-index step over four broadcast index arrays, the gather
+solver._next_values must equal byte for byte.
 simulate_reference replays Monte Carlo runs one at a time, the loop the
 package's chunked simulator must match exactly. export_text_reference
 writes a table file by encoding the whole document and, for the
@@ -290,6 +293,14 @@ def fixed_play_reference(config, j_policy, t_policy=None):
             horizon_values[depth + 1:, b_t, b_j] = horizon_values[depth, b_t, b_j]
             t_probs[b_t, b_j, : x.size] = x
     return horizon_values, t_probs
+
+
+def next_values_reference(grid, k, safe_bt, alive):
+    """solver._next_values as one gather: grid (..., b_t, b_j) at every
+    (level, b_j, n_t, n_j) successor, 0 where the game has ended."""
+    succ_bj = np.clip(np.arange(grid.shape[-1])[:, None] - np.arange(2 * k), 0, None)
+    nxt = grid[..., safe_bt[:, None, :, None], succ_bj[None, :, None, :]]
+    return np.where(alive[:, None, :, None], nxt, 0.0)
 
 
 def simulate_reference(table, runs, seed, sigma=0.0, error_pair=None):

@@ -205,14 +205,17 @@ def test_simulation_result_frozen(ne_table):
 
 def test_import_keeps_scipy_out():
     # scipy.stats costs ~1.4 s and ~70 MB at import; only the Monte Carlo
-    # confidence interval needs scipy, and it imports it when called
+    # confidence interval needs scipy, and it imports it when called.
+    # Likewise numpy.random (~10 ms), which only the simulator needs;
+    # numpy before 2.0 imports it with numpy itself
     import uwjam
 
     src = os.path.dirname(os.path.dirname(uwjam.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, uwjam; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, numpy; before = set(sys.modules); import uwjam; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
@@ -311,6 +314,13 @@ def test_sensitivity_sweep_equals_reference(mc_tables):
                     for s in spec.sigmas]
 
 
+def test_sensitivity_sweep_equals_simulate_across_chunk_edge(mc_tables):
+    table = mc_tables["ne"]
+    spec = SensitivitySpec(sigmas=(0.0, 0.05, 0.6), runs=2100)
+    rows = sensitivity_sweep(table, spec=spec, seed=17)
+    assert rows == [simulate(table, 2100, seed=17, sigma=s) for s in spec.sigmas]
+
+
 def test_sensitivity_sweep_draws_play_uniforms_once_per_chunk(mc_tables, monkeypatch):
     chunks = []
     real = uwjam.analysis._play_uniforms
@@ -320,3 +330,27 @@ def test_sensitivity_sweep_draws_play_uniforms_once_per_chunk(mc_tables, monkeyp
     sensitivity_sweep(mc_tables["k4"], spec=spec, seed=5)
     size = uwjam.analysis._CHUNK
     assert chunks == [range(0, size), range(size, 1100)]
+
+
+# ---------------------------------------------------------------------------
+# per-chunk stream seeding
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, np.int64(7), True])
+def test_stream_words_equal_seed_sequence(seed):
+    runs = range(0, 3001)
+    for key in (0, 1):
+        want = [np.random.SeedSequence((seed, run), spawn_key=(key,)).generate_state(4, np.uint64)
+                for run in runs]
+        got = uwjam.analysis._stream_words(int(seed), runs, key)
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("seed", [-1, -2**40, 1.5, np.float64(2.0), None])
+def test_bad_seed_raises_as_seed_sequence_does(ne_table, seed):
+    with pytest.raises(Exception) as want:
+        np.random.SeedSequence((seed, 0), spawn_key=(1,))
+    for sigma in (0.0, 0.1):
+        with pytest.raises(want.type):
+            simulate(ne_table, 10, seed=seed, sigma=sigma)

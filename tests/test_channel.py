@@ -97,10 +97,6 @@ def test_link_budget_composition():
     assert blocked.j0 == pytest.approx(1e18 * channel_gain(60.0, env) / 16000.0, rel=1e-12)
 
 
-def test_slot_duration():
-    assert TxParams().slot_duration == pytest.approx(0.512)
-
-
 # ---------------------------------------------------------------------------
 # Bessel I0
 

@@ -320,14 +320,17 @@ def test_exit_codes(tmp_path, scenario, tables_dir):
         export_table(table, bad_meta, meta=meta)
         assert main(["evaluate", "--config", scenario, "--table", str(bad_meta)]) == 4, meta
 
-    # a Monte Carlo run count below 1 or a negative or non-finite sigma
-    # is a configuration error, not a traceback
+    # a Monte Carlo run count below 1, a negative or non-finite sigma or
+    # a negative seed is a configuration error, not a traceback
     good = str(tables_dir / "table_djr50m.json")
     for argv in (["simulate", "--runs", "0"], ["simulate", "--runs", "-3"],
                  ["sensitivity", "--runs", "0"], ["sensitivity", "--sigma", "-1"],
                  ["sensitivity", "--sigma", "0", "--sigma", "-0.1"],
                  ["sensitivity", "--sigma", "nan"], ["sensitivity", "--sigma", "inf"]):
         assert main([*argv, "--config", scenario, "--table", good, "--seed", "1"]) == 2, argv
+    for command in ("simulate", "sensitivity"):
+        argv = [command, "--runs", "5", "--config", scenario, "--table", good, "--seed", "-1"]
+        assert main(argv) == 2, argv
 
     # a non-finite distance (NaN used to hang the PER model) or a game
     # size that is not an integer is a configuration error

@@ -307,6 +307,20 @@ def test_level_successors():
     np.testing.assert_array_equal(stacked, np.stack([nxt, 2 * nxt]))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("b_j0", [0, 9])
+def test_next_values_equals_one_gather(k, b_j0):
+    b_t0 = 5 * k + 2
+    grid = np.random.default_rng(k).random((3, b_t0 + 1, b_j0 + 1)) - 0.5
+    grid[0, k, 0] = -0.0
+    for _, _, _, safe_bt, alive in _levels(k, b_t0):
+        for g in (grid[0], grid):
+            got = _next_values(g, k, safe_bt, alive)
+            want = oracles.next_values_reference(g, k, safe_bt, alive)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+
 def test_build_payoff_matrix():
     cfg = GameConfig(k=2, b_t0=8, b_j0=6, alpha=0.4,
                      p_clear=0.1, p_blocked=0.7, horizon=3)
@@ -686,6 +700,17 @@ def test_best_response_to_mixed_jammer():
     want_hv, _ = oracles.fixed_play_reference(cfg, _mixed_jams)
     np.testing.assert_allclose(table.horizon_values, want_hv, rtol=0, atol=1e-12)
     assert (table.t_probs[cfg.k:].max(axis=2) == 1.0).all()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("b_t0, b_j0", [(13, 0), (13, 1), (13, 30), (0, 30)])
+def test_dummy_jammer_array_equals_policy_calls(k, b_t0, b_j0):
+    # b_t0 = 0 < k: no state is playable
+    cfg = _cfg(k, b_t0, b_j0)
+    got = solve_vs_fixed_jammer(cfg)
+    want = solve_vs_fixed_jammer(cfg, dummy_jammer_policy(cfg))
+    for name in ("t_probs", "j_probs", "values", "horizon_values"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 # ---------------------------------------------------------------------------
