@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import _levels, _next_values, is_terminal
+from .solver import _levels, _next_values, _widths, is_terminal
 from .subgame import SubgameParams, success_matrix
 
 __all__ = [
@@ -412,11 +412,10 @@ def _play_chunk(cfg, cum_t, cum_j, lmap, u, p_clear, p_blocked):
         bt, bj = b_t[live], b_j[live]
         # searchsorted(side="left") over the legal prefix: the number of
         # cumulative entries below u * total
-        m = np.minimum(2 * k, bt) - k + 1
+        m, n = _widths(k, bt, bj)
         ct = cum_t[bt, bj]
         below = ct < row[:, :1] * np.take_along_axis(ct, m[:, None] - 1, axis=1)
         n_t = k + (below & (np.arange(k + 1) < m[:, None])).sum(axis=1)
-        n = np.minimum(slots, bj) + 1
         cj = cum_j[bt, bj]
         below = cj < row[:, 1:2] * np.take_along_axis(cj, n[:, None] - 1, axis=1)
         n_j = (below & (np.arange(2 * k) < n[:, None])).sum(axis=1)

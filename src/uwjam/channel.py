@@ -17,6 +17,7 @@ over the receiver bandwidth.
 
 import bisect
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -221,15 +222,26 @@ def bessel_i0_scaled(x):
     return total / math.sqrt(2.0 * math.pi * x)
 
 
-def _poisson_log_pmf(k, lam):
-    return k * math.log(lam) - lam - math.lgamma(k + 1.0)
-
-
 # half-width of the Poisson windows used by marcum_q1, in standard
 # deviations, plus a flat pad for the small-mean regime; beyond this the
 # neglected tail mass is < 1e-25
 _WINDOW_SIGMAS = 12.0
 _WINDOW_PAD = 60
+
+
+def _window(lam):
+    """Bounds (lo, hi) of the window around the mode of Poisson(lam)."""
+    spread = _WINDOW_SIGMAS * math.sqrt(lam)
+    return max(0, math.floor(lam - spread) - _WINDOW_PAD), math.ceil(lam + spread) + _WINDOW_PAD
+
+
+def _pmfs(lam, lo, hi):
+    """Poisson(lam) pmf at lo .. hi: seeded once from log space at lo,
+    then carried by the ratio recurrence."""
+    p = math.exp(lo * math.log(lam) - lam - math.lgamma(lo + 1.0))
+    for i in range(lo, hi + 1):
+        yield p
+        p *= lam / (i + 1)
 
 
 def marcum_q1(a, b):
@@ -255,10 +267,8 @@ def marcum_q1(a, b):
         return 1.0
     if x == 0.0:
         return math.exp(-mu)
-    lo_x = max(0, math.floor(x - _WINDOW_SIGMAS * math.sqrt(x)) - _WINDOW_PAD)
-    hi_x = math.ceil(x + _WINDOW_SIGMAS * math.sqrt(x)) + _WINDOW_PAD
-    lo_m = max(0, math.floor(mu - _WINDOW_SIGMAS * math.sqrt(mu)) - _WINDOW_PAD)
-    hi_m = math.ceil(mu + _WINDOW_SIGMAS * math.sqrt(mu)) + _WINDOW_PAD
+    lo_x, hi_x = _window(x)
+    lo_m, hi_m = _window(mu)
     if hi_x < lo_m:
         return 0.0
     if lo_x > hi_m:
@@ -268,35 +278,14 @@ def marcum_q1(a, b):
     # whole series by a common factor, so normalizing by the window
     # totals cancels the seed error exactly; what remains is recurrence
     # drift, well under the 1e-12 budget.
-    total_mu = 0.0
-    pm = math.exp(_poisson_log_pmf(lo_m, mu))
-    for i in range(lo_m, hi_m + 1):
-        total_mu += pm
-        pm *= mu / (i + 1)
-    cdf = 0.0
-    pm = None
-    i = lo_m
-    while i < lo_x:
-        if pm is None:
-            pm = math.exp(_poisson_log_pmf(lo_m, mu))
-        cdf += pm
-        pm *= mu / (i + 1)
-        i += 1
+    cdf = list(itertools.accumulate(_pmfs(mu, lo_m, hi_m)))
     numer = 0.0
     denom = 0.0
-    px = math.exp(_poisson_log_pmf(lo_x, x))
-    for j in range(lo_x, hi_x + 1):
-        while i <= j:
-            if lo_m <= i <= hi_m:
-                if pm is None:
-                    pm = math.exp(_poisson_log_pmf(i, mu))
-                cdf += pm
-                pm *= mu / (i + 1)
-            i += 1
-        numer += px * min(cdf, total_mu)
+    for j, px in enumerate(_pmfs(x, lo_x, hi_x), lo_x):
+        if j >= lo_m:
+            numer += px * cdf[min(j, hi_m) - lo_m]
         denom += px
-        px *= x / (j + 1)
-    return min(1.0, numer / (denom * total_mu))
+    return min(1.0, numer / (denom * cdf[-1]))
 
 
 def css_bit_error(snr_eff):
@@ -410,6 +399,9 @@ class EmpiricalPerTable:
         pers = tuple(float(p) for p in per_blocked)
         if len(distances) != len(pers) or not distances:
             raise ValueError("need matching, nonempty distance and PER columns")
+        # NaN compares false both ways, so it would pass the order test
+        if not all(map(math.isfinite, distances)):
+            raise ValueError("distances must be finite")
         if any(d2 <= d1 for d1, d2 in zip(distances, distances[1:])):
             raise ValueError("distances must be strictly increasing")
         if any(not 0.0 <= p <= 1.0 for p in pers) or not 0.0 <= per_clear <= 1.0:
@@ -433,6 +425,8 @@ class EmpiricalPerTable:
             for row in reader:
                 if not row:
                     continue
+                if len(row) < 2:
+                    raise ValueError(f"{path}: row {row} needs 2 fields, distance_m,per_blocked")
                 rows.append((float(row[0]), float(row[1])))
         return cls([r[0] for r in rows], [r[1] for r in rows], per_clear)
 

@@ -307,6 +307,13 @@ def _cmd_solve(args):
     if args.sweep_all:
         if args.out_dir is None:
             raise ConfigError("--sweep requires --out-dir")
+        # distances that {d:g} renders alike would write one file
+        names = {}
+        for d in cfg.sweep:
+            other = names.setdefault(f"{d:g}", d)
+            if other != d:
+                raise ConfigError(f"sweep distances {other!r} and {d!r} "
+                                  f"both write table_djr{d:g}m.json")
         os.makedirs(args.out_dir, exist_ok=True)
         # distances whose PER pairs coincide play the same game: solve it
         # once, one table in memory at a time

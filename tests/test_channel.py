@@ -194,6 +194,29 @@ def test_marcum_q1_against_mpmath_offgrid():
         assert abs(marcum_q1(a, b) - oracles.marcum_q1_reference(a, b)) < 1e-12
 
 
+# float.hex() of the results, frozen before marcum_q1 became one pass
+# over the x window; a rewrite must keep every bit
+MARCUM_BITS = [
+    (0.5, 0.1, "0x1.fdbee8ffcdb41p-1"),
+    (0.7, 1.3, "0x1.065dee08585bap-1"),
+    (1.0, 2.0, "0x1.1377e5c055d57p-2"),
+    (2.0, 9.0, "0x1.83b47f315f5e3p-39"),
+    (0.25, 4.0, "0x1.bbdf4c431e05cp-12"),
+    (10.0, 12.0, "0x1.9eff83ef028dbp-6"),
+    (12.0, 11.0, "0x1.b40c3b8e61518p-1"),
+    (33.0, 35.5, "0x1.a80bbafb2adfdp-8"),
+    (40.0, 30.0, "0x1.0000000000000p+0"),
+    (100.0, 101.0, "0x1.4765c9965dd71p-3"),
+    (300.0, 299.0, "0x1.aef9a45e5a90fp-1"),
+    (1500.0, 1502.5, "0x1.9756e18a32445p-8"),
+]
+
+
+@pytest.mark.parametrize("a,b,bits", MARCUM_BITS)
+def test_marcum_q1_bits_pinned(a, b, bits):
+    assert marcum_q1(a, b).hex() == bits
+
+
 @given(st.floats(0.0, 40.0), st.floats(0.0, 40.0))
 @settings(max_examples=80)
 def test_marcum_q1_in_unit_interval(a, b):
@@ -227,6 +250,24 @@ def test_css_bit_error_regression():
     # effective SNR under jamming at 60 m in the reference scenario
     assert css_bit_error(19.678922098577516) == pytest.approx(
         0.0003797492740106815, rel=1e-12)
+
+
+CSS_BITS = [
+    (0.5, "0x1.703da53dc1cd8p-2"),
+    (2.0, "0x1.4faec05513222p-3"),
+    (8.0, "0x1.16bf93ae4f567p-6"),
+    (19.678922098577516, "0x1.8e322b66a0b8cp-12"),
+    (50.0, "0x1.272810bc75668p-25"),
+    (100.0, "0x1.8341da1e2730cp-47"),
+    (200.0, "0x1.ce10e542c86e8p-90"),
+    (500.0, "0x1.59118980d1ee8p-217"),
+    (1000.0, "0x0.0p+0"),
+]
+
+
+@pytest.mark.parametrize("snr,bits", CSS_BITS)
+def test_css_bit_error_bits_pinned(snr, bits):
+    assert css_bit_error(snr).hex() == bits
 
 
 def test_per_uncoded_matches_direct_form():
@@ -326,6 +367,10 @@ def test_empirical_table_validation():
         EmpiricalPerTable([10.0, 20.0], [0.5, 1.4], 0.04)
     with pytest.raises(ValueError):
         EmpiricalPerTable([10.0, 20.0], [0.5, 0.4], -0.1)
+    # NaN compares false both ways, so it passes the increasing check
+    for distances in ([20.0, math.nan, 60.0], [math.nan], [20.0, math.inf], [-math.inf, 20.0]):
+        with pytest.raises(ValueError, match="finite"):
+            EmpiricalPerTable(distances, [0.5] * len(distances), 0.04)
 
 
 def test_empirical_table_from_csv(tmp_path):
@@ -347,6 +392,15 @@ def test_empirical_table_from_csv_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("distance,per\n20,0.9\n")
     with pytest.raises(ValueError):
+        EmpiricalPerTable.from_csv(path, per_clear=0.05)
+
+
+@pytest.mark.parametrize("rows", ["20,0.9\nnan,0.5\n60,0.1\n", "20,0.9\n60\n"],
+                         ids=["nan-distance", "one-field"])
+def test_empirical_table_from_csv_bad_rows(tmp_path, rows):
+    path = tmp_path / "bad.csv"
+    path.write_text("distance_m,per_blocked\n" + rows)
+    with pytest.raises(ValueError, match="finite|fields"):
         EmpiricalPerTable.from_csv(path, per_clear=0.05)
 
 
@@ -377,6 +431,38 @@ def test_error_model_modes():
     pc_e, pb_e = error_model_for_distance(60.0, 78.0, env, tx,
                                           mode="empirical", table=table)
     assert (pc_e, pb_e) == (0.04, pytest.approx(0.55))
+
+
+# float.hex() of (per_clear, per_blocked) uncoded, then coded, at the 17
+# sweep distances of the reference scenario (d_tr = 78 m)
+ERROR_MODEL_BITS = {
+    20.0: ("0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p+0"),
+    30.0: ("0x0.0p+0", "0x1.fffffff730900p-1", "0x0.0p+0", "0x1.d8286e5e84472p-1"),
+    40.0: ("0x0.0p+0", "0x1.fdd0e332ea12dp-1", "0x0.0p+0", "0x1.f455357841836p-19"),
+    50.0: ("0x0.0p+0", "0x1.5f284b5eb3c86p-1", "0x0.0p+0", "0x1.42cb337f6e9a1p-65"),
+    60.0: ("0x0.0p+0", "0x1.69f055dac88c2p-3", "0x0.0p+0", "0x1.0f77404b49e55p-127"),
+    70.0: ("0x0.0p+0", "0x1.9e3361cf31b92p-6", "0x0.0p+0", "0x1.415bfc9f8ec5cp-200"),
+    80.0: ("0x0.0p+0", "0x1.578187a19d4dfp-9", "0x0.0p+0", "0x1.291ab72d72139p-282"),
+    90.0: ("0x0.0p+0", "0x1.b40078d9f22bbp-13", "0x0.0p+0", "0x1.b685d83e33e4ep-374"),
+    100.0: ("0x0.0p+0", "0x1.a88197e4b6bcdp-17", "0x0.0p+0", "0x1.c0ba865a09dd8p-475"),
+    110.0: ("0x0.0p+0", "0x1.3b2a5221f7637p-21", "0x0.0p+0", "0x1.0c4729470f416p-585"),
+    120.0: ("0x0.0p+0", "0x1.624dbfe2af918p-26", "0x0.0p+0", "0x1.38e4568350ce1p-706"),
+    130.0: ("0x0.0p+0", "0x1.2b4b763789609p-31", "0x0.0p+0", "0x1.26e3d87be3ff0p-837"),
+    140.0: ("0x0.0p+0", "0x1.78ffa3f92aa60p-37", "0x0.0p+0", "0x1.7158f415eb057p-979"),
+    150.0: ("0x0.0p+0", "0x1.5f2f8d1337818p-43", "0x0.0p+0", "0x0.0p+0"),
+    160.0: ("0x0.0p+0", "0x1.dfcc1a315d731p-50", "0x0.0p+0", "0x0.0p+0"),
+    170.0: ("0x0.0p+0", "0x1.dc840584ec92fp-57", "0x0.0p+0", "0x0.0p+0"),
+    180.0: ("0x0.0p+0", "0x1.54ee87255b8e9p-64", "0x0.0p+0", "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("d_jr", sorted(ERROR_MODEL_BITS))
+def test_error_model_bits_pinned(d_jr):
+    env = AcousticEnvironment()
+    tx = TxParams()
+    got = [p.hex() for mode in ("uncoded", "coded")
+           for p in error_model_for_distance(d_jr, 78.0, env, tx, mode=mode)]
+    assert tuple(got) == ERROR_MODEL_BITS[d_jr]
 
 
 def test_error_model_blocked_never_better_than_clear():

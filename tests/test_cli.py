@@ -115,6 +115,26 @@ def test_solve_sweep_writes_one_table_per_distance(tables_dir):
         load_table(tables_dir / name)
 
 
+def test_solve_sweep_refuses_distances_that_share_a_file(tmp_path, monkeypatch, capsys):
+    # 60 and 60.0000001 both render as table_djr60m.json; nothing is
+    # solved or written
+    monkeypatch.setattr(uwjam.solver, "solve_full_game", None)
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps({**SMALL_SCENARIO, "sweep": [50, 60, 70, 60.0000001]}))
+    out = tmp_path / "sweep"
+    assert main(["solve", "--config", str(path), "--sweep", "--out-dir", str(out)]) == 2
+    assert "60.0 and 60.0000001" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_sweep_allows_exact_repeats(tmp_path):
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps({**SMALL_SCENARIO, "sweep": [60, 50, 60.0]}))
+    out = tmp_path / "sweep"
+    assert main(["solve", "--config", str(path), "--sweep", "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["table_djr50m.json", "table_djr60m.json"]
+
+
 def test_solve_sweep_solves_each_distinct_game_once(tmp_path, monkeypatch):
     # the coded model saturates both PERs at several far distances, so
     # the 17 default sweep distances give 14 distinct games
@@ -289,6 +309,17 @@ def test_exit_codes(tmp_path, scenario, tables_dir):
     no_path = tmp_path / "emp.json"
     no_path.write_text(json.dumps({"per_mode": "empirical"}))
     assert main(["per-sweep", "--config", str(no_path)]) == 2
+
+    # a measured PER curve with a NaN distance or a row of one field
+    for rows in ("20,0.9\nnan,0.5\n60,0.1\n", "20,0.9\n60\n"):
+        curve = tmp_path / "curve.csv"
+        curve.write_text("distance_m,per_blocked\n" + rows)
+        empirical = tmp_path / "emp.json"
+        empirical.write_text(json.dumps({"per_mode": "empirical", "empirical_path": str(curve)}))
+        assert main(["per-sweep", "--config", str(empirical)]) == 2, rows
+        assert main(["solve", "--config", str(empirical), "--d-jr", "20",
+                     "--out", str(tmp_path / "emp_table.json")]) == 2, rows
+    assert not (tmp_path / "emp_table.json").exists()
 
     # a scenario that is not an object, or a sweep that is not a list
     for doc in (["k"], "k", 5, {"sweep": "abc"}, {"sweep": 5}, {"sweep": "60"},
