@@ -206,11 +206,11 @@ def _log(msg):
 def _load_scenario(args):
     data = {}
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config}: invalid JSON: {exc}") from None
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ConfigError(f"{args.config}: not UTF-8 JSON: {exc}") from None
     cfg = ScenarioConfig.from_dict(data)
     overrides = {name: value for name in ("per_mode", "d_jr", "alpha")
                  if (value := getattr(args, name)) is not None}

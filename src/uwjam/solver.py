@@ -12,23 +12,21 @@ strictly decreases it), with a rolling receding horizon: the strategy
 deployed at a state is the equilibrium of the matrix whose continuation
 values look gamma = horizon frames ahead. Since the game cannot outlast
 floor(b_t / k) further frames, horizon values are constant in gamma past
-that depth, which caps the work per state. Likewise the jammer cannot
-spend more than gamma(2k-1) quanta within gamma frames, so every b_j
-above that cap shares the stage matrix of the cap and takes its
-solution instead of being solved again. The transmitter cap mirrors it:
-gamma frames cost at most 2k gamma quanta, so the gamma-frame values
+that depth, which caps the work per state. The transmitter cannot spend
+more than 2k gamma quanta within gamma frames, so the gamma-frame values
 repeat at every b_t >= 2k gamma and those levels copy the level below
 instead of solving again. A frame costs at least k quanta, so the k
 levels qk .. qk+k-1 depend only on levels below qk and are solved as
 one block, in one batch of stage games with all 2k jam counts
-(:func:`solve_full_game`). Continuation values often stop changing in
-b_t or b_j before those caps, so many of a block's games still repeat a
-neighbour's bytes; such a game takes the solution of the same game one
-level down or of the previous one on its level instead of being pivoted
-again (:func:`_solve_stage_batch`). The transmitter's best response to
-a fixed jammer, the values of fixed play and the lifetime and success
-recursions of :mod:`uwjam.analysis` walk the same level blocks and read
-successors through the same gather (:func:`_levels`,
+(:func:`solve_full_game`). Many of a block's games repeat a neighbour's
+bytes: continuation values often stop changing in b_t or b_j, and the
+jammer cannot spend more than gamma(2k-1) quanta within gamma frames, so
+every b_j above that cap repeats the game at b_j - 1. Such a game takes
+the solution of the same game one level down or at b_j - 1 instead of
+being pivoted again (:func:`_solve_stage_batch`). The transmitter's best
+response to a fixed jammer, the values of fixed play and the lifetime
+and success recursions of :mod:`uwjam.analysis` walk the same level
+blocks and read successors through the same gather (:func:`_levels`,
 :func:`_next_values`).
 
 Matrix games are solved as linear programs with a dense tableau simplex,
@@ -360,29 +358,29 @@ def _pivot_to_optimum(D, basis):
 
 
 def _solve_stage_batch(stage):
-    """Solve a block's stage games (levels, pairs, m, n) through the LP
-    kernel, pivoting each run of byte-equal neighbours once.
+    """Solve a block's stage games (depths, levels, b_j, m, n) through
+    the LP kernel, pivoting each run of byte-equal neighbours once.
 
-    A game whose bytes equal the same pair's one level down, or the
-    previous pair's on its level, takes that game's solution. Each
-    repeat points to a lower index, so following the pointers ends at a
-    first instance; only those go to :func:`_minimax_batch`. Each
-    instance pivots alone, so the results equal a solve of every game.
-    Batches of at most one chunk skip the comparison: a pivot round
-    costs about the same whatever a chunk holds.
+    A game whose bytes equal the same (depth, b_j) game's one level down,
+    or the game at b_j - 1 on its depth and level, takes that game's
+    solution. Each repeat points to a lower index, so following the
+    pointers ends at a first instance; only those go to
+    :func:`_minimax_batch`. Each instance pivots alone, so the results
+    equal a solve of every game. Batches of at most one chunk skip the
+    comparison: a pivot round costs about the same whatever a chunk
+    holds.
 
-    :returns: (values, row_strats, col_strats) over the flattened
-        (levels * pairs) games
+    :returns: (values, row_strats, col_strats) over the flattened games
     """
-    levels, pairs, m, n = stage.shape
+    m, n = stage.shape[-2:]
     games = stage.reshape(-1, m, n)
     if len(games) <= _SIMPLEX_CHUNK:
         return _minimax_batch(games)
-    bits = games.view(np.int64).reshape(levels, pairs, m * n)
-    index = np.arange(levels * pairs).reshape(levels, pairs)
+    bits = games.view(np.int64).reshape(*stage.shape[:3], m * n)
+    index = np.arange(len(games)).reshape(stage.shape[:3])
     src = index.copy()
-    src[:, 1:] -= (bits[:, 1:] == bits[:, :-1]).all(axis=2)
-    src[1:] = np.where((bits[1:] == bits[:-1]).all(axis=2), index[:-1], src[1:])
+    src[:, :, 1:] -= (bits[:, :, 1:] == bits[:, :, :-1]).all(axis=3)
+    src[:, 1:] = np.where((bits[:, 1:] == bits[:, :-1]).all(axis=3), index[:, :-1], src[:, 1:])
     src = src.ravel()
     while not np.array_equal(src[src], src):
         src = src[src]
@@ -473,15 +471,16 @@ class StrategyTable:
         return float(self.values[state.b_t, state.b_j])
 
     def horizon_value(self, state, gamma):
-        """Value with an explicit lookahead of gamma frames."""
+        """Value with an explicit lookahead of gamma frames; math.inf
+        reads the deepest stored lookahead."""
         if self.horizon_values is None:
             raise TableError("horizon values are not stored in exported tables")
-        if gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not gamma >= 0:  # NaN fails >=
+            raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
         if is_terminal(state, self.config.k):
             return 0.0
         self._check(state)
-        g = min(int(gamma), self.horizon_values.shape[0] - 1)
+        g = int(min(gamma, self.horizon_values.shape[0] - 1))
         return float(self.horizon_values[g, state.b_t, state.b_j])
 
     def deployed_depth(self, state):
@@ -519,8 +518,9 @@ def _next_values(grid, k, safe_bt, alive):
     :returns: array (..., levels, b_j, m, 2k) holding, for each state of
         the block, the entry after sending n_t = k + i packets and
         jamming n_j = j slots. Jam counts above b_j read b_j' = 0; a jammer cannot
-        afford them, so they must carry zero probability. Successors
-        where the game has ended read 0.
+        afford them, so they must carry zero probability
+        (:func:`solve_full_game` overwrites those entries with +inf).
+        Successors where the game has ended read 0.
     """
     succ_bj = np.clip(np.arange(grid.shape[-1])[:, None] - np.arange(2 * k), 0, None)
     # rows, then columns: cheaper than one gather over four index arrays
@@ -551,27 +551,25 @@ def solve_full_game(config):
 
     Iterates b_t upward (frames strictly drain the transmitter) in blocks
     of up to k levels that depend only on levels below the block (see
-    :func:`_levels`). Each distinct (gamma, b_j) matrix game of a
-    block is solved once: jammer batteries above what the jammer can
-    spend within gamma frames take the solution at that cap. All games
-    have the 2k jam counts, so a block goes to the simplex as one batch;
-    a count above b_j, which the jammer cannot afford, is an all-+inf
-    column (see :func:`_minimax_batch`) and gets probability 0. The
-    deployed strategy and value at a state are those of the
-    receding-horizon matrix; horizon values for all shallower gamma are
+    :func:`_levels`). A block's stage games, laid out (depths, levels,
+    b_j, m, 2k), read their successors through :func:`_next_values` and
+    go to the simplex as one batch; a jam count above b_j, which the
+    jammer cannot afford, is an all-+inf column (see
+    :func:`_minimax_batch`) and gets probability 0. The deployed strategy
+    and value at a state are those of the receding-horizon matrix, the
+    deepest of its block; horizon values for all shallower gamma are
     stored alongside.
 
     The transmitter cannot spend more than 2k gamma quanta within gamma
-    frames either, so the gamma-frame games at every b_t >= 2k gamma are
-    those of b_t = 2k gamma: a block copies such depths from the level
-    below it and solves only the deeper ones. Where that covers the
-    deployed depth as well, the block copies the level below whole.
+    frames, so the gamma-frame games at every b_t >= 2k gamma are those
+    of b_t = 2k gamma: a block copies such depths from the level below it
+    and solves only the deeper ones. Where that covers the deployed depth
+    as well, the block copies the level below whole.
 
-    The values can stop changing before either cap, so a game of the
-    block may still equal, byte for byte, the same (gamma, b_j) game one
-    level down or the game of the previous pair on its level. The
-    block's batch goes through :func:`_solve_stage_batch`, which pivots
-    only the first of such repeats and hands its solution to the
+    Within a block, a game may equal, byte for byte, the same (gamma,
+    b_j) game one level down or the game at b_j - 1; every b_j above the
+    jammer's spending cap gamma(2k-1) does. :func:`_solve_stage_batch`
+    pivots only the first of such repeats and hands its solution to the
     rest; every game still gets the result a solve of its own bytes
     gives.
     """
@@ -584,16 +582,8 @@ def solve_full_game(config):
     t_probs = np.zeros((b_t0 + 1, b_j0 + 1, k + 1))
     j_probs = np.zeros((b_t0 + 1, b_j0 + 1, 2 * k))
     values = np.zeros((b_t0 + 1, b_j0 + 1))
-    # the games solved for lookahead depth g + 1 are pairs offsets[g] ..
-    # offsets[g+1]-1, one per b_j up to the spending cap (g + 1)(2k - 1);
-    # expand[g, b_j] is the pair whose solution b_j takes at that depth
-    counts = np.minimum(b_j0, (2 * k - 1) * np.arange(1, g_store + 1)) + 1
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    pair_depth = np.repeat(np.arange(g_store), counts)
-    succ_bj = (np.arange(offsets[-1]) - offsets[pair_depth])[:, None] - np.arange(2 * k)
-    unaffordable = succ_bj < 0
-    succ_bj[unaffordable] = 0
-    expand = offsets[:-1, None] + np.minimum(np.arange(b_j0 + 1), counts[:, None] - 1)
+    # a jam count above b_j is one the jammer cannot afford
+    unaffordable = np.arange(b_j0 + 1)[:, None] < np.arange(2 * k)
     for lo, hi, m, safe_bt, alive in _levels(k, b_t0):
         levels = hi - lo
         depth = min(g_store, lo // k)
@@ -606,20 +596,15 @@ def solve_full_game(config):
             t_probs[lo:hi] = t_probs[lo - 1]
             j_probs[lo:hi] = j_probs[lo - 1]
             continue
-        pairs = slice(offsets[low], offsets[depth])
-        cont = horizon_values[pair_depth[None, pairs, None, None],
-                              safe_bt[:, None, :, None],
-                              succ_bj[None, pairs, None, :]]
-        cont = np.where(alive[:, None, :, None], cont, 0.0)
-        stage = base[:m] + lam * cont
-        np.copyto(stage, np.inf, where=unaffordable[None, pairs, None, :])
+        stage = _next_values(horizon_values[low:depth], k, safe_bt, alive)
+        stage *= lam
+        stage += base[:m]
+        np.copyto(stage, np.inf, where=unaffordable[:, None, :])
         vals, rows, cols = _solve_stage_batch(stage)
-        vals = vals.reshape(levels, -1)
-        _store(horizon_values, values, slice(lo, hi), slice(None),
-               vals[:, expand[low:depth] - pairs.start].transpose(1, 0, 2), low + 1)
-        deployed = expand[depth - 1] - pairs.start
-        t_probs[lo:hi, :, :m] = rows.reshape(levels, -1, m)[:, deployed]
-        j_probs[lo:hi] = cols.reshape(levels, -1, 2 * k)[:, deployed]
+        shape = (depth - low, levels, b_j0 + 1)
+        _store(horizon_values, values, slice(lo, hi), slice(None), vals.reshape(shape), low + 1)
+        t_probs[lo:hi, :, :m] = rows.reshape(*shape, m)[-1]
+        j_probs[lo:hi] = cols.reshape(*shape, 2 * k)[-1]
     return StrategyTable(config, t_probs, j_probs, values, horizon_values)
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -100,6 +101,19 @@ def test_solve_single(tmp_path, scenario):
     table = load_table(out)
     assert table.meta == {"d_jr": 60.0, "per_mode": "uncoded"}
     assert table.config.k == 2 and table.config.b_t0 == 12
+
+    # an infinite horizon with discounting solves and evaluates; gamma
+    # reads inf
+    endless = tmp_path / "endless.json"
+    endless.write_text(json.dumps({**SMALL_SCENARIO, "horizon": "inf", "discount": 0.9}))
+    assert main(["solve", "--config", str(endless), "--d-jr", "60", "--out", str(out)]) == 0
+    assert math.isinf(load_table(out).config.horizon)
+    report = tmp_path / "report.csv"
+    assert main(["evaluate", "--config", str(endless), "--table", str(out),
+                 "--out", str(report)]) == 0
+    comment, _, rows = _read_csv(report.read_text())
+    assert json.loads(comment[len("# config: "):])["horizon"] == "inf"
+    assert [row["gamma"] for row in rows] == ["inf"]
 
 
 def test_solve_needs_distance_and_out(scenario):
@@ -301,6 +315,15 @@ def test_exit_codes(tmp_path, scenario, tables_dir):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{nope")
     assert main(["per-sweep", "--config", str(bad_json)]) == 2
+    # a scenario file that is not UTF-8
+    bad_json.write_bytes(b"\xff\xfe{}")
+    assert main(["per-sweep", "--config", str(bad_json)]) == 2
+
+    # a PER mode outside the known ones, and channel parameters the PER
+    # model rejects
+    for doc in ({"per_mode": "psychic"}, {"frequency_khz": -1}, {"packet_bits": 0}):
+        bad_json.write_text(json.dumps(doc))
+        assert main(["per-sweep", "--config", str(bad_json)]) == 2, doc
 
     unknown_key = tmp_path / "unknown.json"
     unknown_key.write_text(json.dumps({"granularity": 5}))
@@ -342,6 +365,9 @@ def test_exit_codes(tmp_path, scenario, tables_dir):
     for config in ([1], {**doc["config"], "k": "4"}):
         fake.write_text(json.dumps({**doc, "config": config}))
         assert main(["inspect-table", "--table", str(fake)]) == 4, config
+    # a table without its checksum
+    fake.write_text(json.dumps({name: value for name, value in doc.items() if name != "checksum"}))
+    assert main(["inspect-table", "--table", str(fake)]) == 4
 
     # meta sits outside the checksum; a bad one is a table fault
     table = load_table(tables_dir / "table_djr50m.json")

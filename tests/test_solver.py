@@ -449,9 +449,14 @@ def test_horizon_values(small_game):
     # lookahead saturates at the battery-limited depth
     assert table.deployed_depth(s0) == 3
     assert table.horizon_value(s0, 99) == table.value(s0)
+    # an infinite lookahead reads the deepest stored one
+    assert table.horizon_value(s0, 10 ** 6) == table.value(s0)
+    assert table.horizon_value(s0, math.inf) == table.value(s0)
     assert table.value(GameState(1, 6)) == 0.0     # terminal
     with pytest.raises(ValueError):
         table.horizon_value(s0, -1)
+    with pytest.raises(ValueError, match="gamma must be nonnegative"):
+        table.horizon_value(s0, math.nan)
 
 
 def test_lookahead_saturates_when_battery_runs_short():
@@ -536,51 +541,64 @@ def test_horizon_values_repeat_above_transmitter_cap(cfg):
     GameConfig(k=4, b_t0=200, b_j0=200, alpha=0.4, p_clear=0.05, p_blocked=0.6, horizon=1),
 ], ids=lambda c: f"k{c.k}-bj{c.b_j0}")
 def test_solve_full_game_solves_each_capped_game_once(cfg, monkeypatch):
-    # counted where the stage batches are built, before neighbour
-    # repeats are dropped
-    seen = {"calls": 0, "instances": 0}
-    real = uwjam.solver._solve_stage_batch
+    # games are built over every b_j; the neighbour-repeat rule, which
+    # one-instance chunks switch on, must pivot no more of them than the
+    # games up to the jammer's spending cap
+    built, seen = [], {"calls": 0, "instances": 0}
+    real_stage, real_kernel = uwjam.solver._solve_stage_batch, uwjam.solver._minimax_batch
 
-    def counting(stage):
+    def building(stage):
+        built.append(stage.shape[:3])
+        return real_stage(stage)
+
+    def counting(matrices):
         seen["calls"] += 1
-        seen["instances"] += stage.shape[0] * stage.shape[1]
-        return real(stage)
+        seen["instances"] += len(matrices)
+        return real_kernel(matrices)
 
-    monkeypatch.setattr(uwjam.solver, "_solve_stage_batch", counting)
+    monkeypatch.setattr(uwjam.solver, "_solve_stage_batch", building)
+    monkeypatch.setattr(uwjam.solver, "_minimax_batch", counting)
+    monkeypatch.setattr(uwjam.solver, "_SIMPLEX_CHUNK", 1)
     solve_full_game(cfg)
     k, full = cfg.k, 2 * cfg.k - 1
     # level blocks (first level, level count): levels k .. 2k-1 alone,
     # then blocks of k levels
     blocks = [(b_t, 1) for b_t in range(k, min(2 * k, cfg.b_t0 + 1))]
     blocks += [(lo, min(k, cfg.b_t0 + 1 - lo)) for lo in range(2 * k, cfg.b_t0 + 1, k)]
-    want, solved = 0, 0
+    want, shapes = 0, []
     for lo, levels in blocks:
         depth = min(cfg.effective_horizon(), lo // k)
         # a depth g the transmitter cannot exhaust from level lo - 1
         # (2kg <= lo - 1) repeats that level and is not solved
         low = min(depth, (lo - 1) // (2 * k))
-        solved += low < depth
+        if low < depth:
+            shapes.append((depth - low, levels, cfg.b_j0 + 1))
         # truncated columns b_j < 2k-1 at every depth, then the full-width
         # columns up to the jammer's spending cap g(2k-1) at depth g
         want += levels * sum(min(full, cfg.b_j0 + 1) + max(0, min(cfg.b_j0, g * full) - full + 1)
                              for g in range(low + 1, depth + 1))
-    assert seen["instances"] == want
+    assert built == shapes
+    assert 0 < seen["instances"] <= want
     # one call per block with a depth left to solve
-    assert seen["calls"] == solved
+    assert seen["calls"] == len(shapes)
 
 
 def test_stage_batch_pivots_neighbour_repeats_once(monkeypatch):
     rng = np.random.default_rng(5)
-    stage = rng.normal(size=(4, 7, 3, 4))
-    stage[1, 2] = stage[0, 2]            # the same pair one level down
-    stage[2, 2] = stage[1, 2]            # ... twice: a chain
-    stage[0, 4] = stage[0, 3]            # the previous pair on the level
-    stage[0, 5] = stage[0, 4]
-    stage[1, 5] = stage[0, 5]            # both ways
-    stage[3, 6] = stage[3, 5]
-    stage[3, 0] = stage[2, 6]            # equal, but neither neighbour
-    stage[2, 1] = 0.0
-    stage[2, 0] = -0.0                   # equal values, other bytes
+    # (depths, levels, b_j, m, n)
+    stage = rng.normal(size=(2, 4, 7, 3, 4))
+    shallow = stage[0]
+    shallow[1, 2] = shallow[0, 2]        # the same b_j one level down
+    shallow[2, 2] = shallow[1, 2]        # ... twice: a chain
+    shallow[0, 4] = shallow[0, 3]        # b_j - 1 on the level
+    shallow[0, 5] = shallow[0, 4]
+    shallow[1, 5] = shallow[0, 5]        # both ways
+    shallow[3, 6] = shallow[3, 5]
+    shallow[3, 0] = shallow[2, 6]        # equal, but neither neighbour
+    shallow[2, 1] = 0.0
+    shallow[2, 0] = -0.0                 # equal values, other bytes
+    stage[1, 0, 0] = stage[0, 0, 0]      # equal across depths: not a neighbour
+    stage[1, 3, 6] = stage[0, 3, 6]      # ... nor for a game that repeats on its own depth
     sent = []
     real = uwjam.solver._minimax_batch
 
@@ -591,13 +609,13 @@ def test_stage_batch_pivots_neighbour_repeats_once(monkeypatch):
     monkeypatch.setattr(uwjam.solver, "_minimax_batch", counting)
     monkeypatch.setattr(uwjam.solver, "_SIMPLEX_CHUNK", 1)
     got = uwjam.solver._solve_stage_batch(stage)
-    assert sent == [4 * 7 - 6]
+    assert sent == [2 * 4 * 7 - 6]
     for out, want in zip(got, real(stage.reshape(-1, 3, 4))):
         assert out.tobytes() == want.tobytes()
     # a batch of at most one chunk goes to the kernel whole
-    monkeypatch.setattr(uwjam.solver, "_SIMPLEX_CHUNK", stage.shape[0] * stage.shape[1])
+    monkeypatch.setattr(uwjam.solver, "_SIMPLEX_CHUNK", 2 * 4 * 7)
     uwjam.solver._solve_stage_batch(stage)
-    assert sent[-1] == 4 * 7
+    assert sent[-1] == 2 * 4 * 7
 
 
 @pytest.mark.parametrize("cfg", [
@@ -615,7 +633,7 @@ def test_neighbour_repeats_keep_the_solve_bit_equal(cfg, monkeypatch):
     real_stage, real_kernel = uwjam.solver._solve_stage_batch, uwjam.solver._minimax_batch
 
     def built(stage):
-        seen["built"] += stage.shape[0] * stage.shape[1]
+        seen["built"] += stage.size // (stage.shape[-2] * stage.shape[-1])
         return real_stage(stage)
 
     def pivoted(matrices):
