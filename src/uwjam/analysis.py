@@ -120,12 +120,15 @@ def success_probability(table, state=None, error_pair=None):
 
     :param error_pair: (p_clear, p_blocked) the frames actually see;
         defaults to the pair the table was solved with
+
+    Strategy rows sum to 1 only within a few ulp, so the weighted sum is
+    bounded to [0, 1] (as is :func:`first_frame_success`).
     """
     cfg = table.config
     state = cfg.initial_state if state is None else state
     if is_terminal(state, cfg.k):
         return 0.0
-    return float(_success_map(table, error_pair)[state.b_t, state.b_j])
+    return min(max(float(_success_map(table, error_pair)[state.b_t, state.b_j]), 0.0), 1.0)
 
 
 def first_frame_success(table, state=None, error_pair=None):
@@ -145,7 +148,7 @@ def first_frame_success(table, state=None, error_pair=None):
     for n_t, pt in zip(st.support, st.probs):
         for n_j, pj in zip(sj.support, sj.probs):
             total += pt * pj * chi[n_t - cfg.k, n_j]
-    return float(total)
+    return min(max(float(total), 0.0), 1.0)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from uwjam.solver import (
     GameConfig,
     GameState,
     MixedStrategy,
+    StrategyTable,
     fixed_policy_table,
     solve_full_game,
 )
@@ -82,6 +83,23 @@ def test_success_hand_check():
     assert chi == pytest.approx(0.49, abs=1e-15)
     assert success_probability(table) == pytest.approx(chi, abs=1e-12)
     assert first_frame_success(table) == pytest.approx(chi, abs=1e-12)
+
+
+def test_success_bounded_when_rows_overshoot_one():
+    # strategy rows may sum to 1 within a few ulp; on a channel that wins
+    # every frame the weighted sums then land just above 1
+    cfg = _cfg(b_t0=4, b_j0=0, p_clear=0.0, p_blocked=0.0)
+    over = np.nextafter(np.nextafter(1.0, 2.0), 2.0)  # 1 + 2 ulp
+    t_probs = np.zeros((5, 1, 3))
+    t_probs[2:, :, 0] = over
+    j_probs = np.zeros((5, 1, 4))
+    j_probs[2:, :, 0] = 1.0
+    table = StrategyTable(cfg, t_probs, j_probs, np.zeros((5, 1)))
+    assert expected_success(cfg.subgame, 2, 0) == 1.0
+    assert uwjam.analysis._success_map(table)[4, 0] > 1.0
+    assert success_probability(table) == 1.0
+    assert first_frame_success(table) == 1.0
+    assert analyze(table).success == analyze(table).first_frame == 1.0
 
 
 def test_success_error_pair_override(ne_table):

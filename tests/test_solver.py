@@ -192,6 +192,18 @@ def test_simplex_stall_raises_solver_error(monkeypatch):
     assert issubclass(SolverError, RuntimeError)
 
 
+def test_largest_reduced_cost_enters(monkeypatch):
+    # the entering column is the one with the largest reduced cost: on
+    # this batch no chunk needs more than 12 pivot rounds, while the
+    # lowest-index improving column (Bland's rule) needs 16
+    games = np.random.default_rng(0).random((2000, 5, 8))
+    monkeypatch.setattr(uwjam.solver, "_SIMPLEX_MAX_ITER", 12)
+    values, rows, cols = _minimax_batch(games)
+    for b in range(0, len(games), 97):
+        row_gap, col_gap = oracles.best_response_gaps(games[b], rows[b], cols[b], values[b])
+        assert row_gap <= 1e-12 and col_gap <= 1e-12
+
+
 def test_game_state_basics():
     s = GameState(8, 6)
     assert (s.b_t, s.b_j) == (8, 6)
@@ -437,6 +449,33 @@ def test_degenerate_grid_is_solved_at_every_state(degenerate_tables):
             values.setdefault(mat.tobytes(), (mat, value, table.config, state))
     for mat, value, cfg, state in values.values():
         assert abs(oracles.support_enumeration_solve(mat)[0] - value) <= 1e-8, (cfg, state)
+
+
+def test_every_lp_certifies(monkeypatch):
+    # the shallower lookahead games feed the deeper ones, so every game
+    # the kernel solves must be an equilibrium, not only the deployed ones
+    real, solved = uwjam.solver._minimax_batch, []
+
+    def certifying(matrices):
+        values, rows, cols = real(matrices)
+        absent = np.isinf(matrices[:, 0])
+        finite = np.where(absent[:, None, :], 0.0, matrices)
+        row_gap = np.einsum("bij,bj->bi", finite, cols).max(axis=1) - values
+        col_gain = np.where(absent, np.inf, np.einsum("bi,bij->bj", rows, finite))
+        col_gap = values - col_gain.min(axis=1)
+        assert (row_gap <= 1e-9).all() and (col_gap <= 1e-9).all(), (
+            row_gap.max(), col_gap.max())
+        assert (rows >= 0).all() and (cols >= 0).all() and (cols[absent] == 0).all()
+        solved.append(len(matrices))
+        return values, rows, cols
+
+    monkeypatch.setattr(uwjam.solver, "_minimax_batch", certifying)
+    for cfg in DEGENERATE_CONFIGS:
+        solve_full_game(cfg)
+    degenerate = len(solved)
+    assert degenerate > 0
+    solve_full_game(game_config_for(ScenarioConfig(b_t0=40, b_j0=40), 60.0))
+    assert len(solved) > degenerate
 
 
 def test_horizon_values(small_game):
@@ -1037,7 +1076,7 @@ def test_export_bytes_pinned(tmp_path, small_game):
     path = tmp_path / "table.json"
     export_table(table, path, meta={"d_jr": 60.0, "per_mode": "uncoded"})
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "fc6f82f945b43afeec3209a46499838afc9a68538b05838489f0f64f2e5d7a1d")
+        "86ae109553bff262f511b4f9fce0ce8a5b9546e214f6597f221a0cb98abd79e9")
 
 
 @pytest.fixture(scope="module", params=[20.0, 60.0], ids=["d20m", "d60m"])
@@ -1047,14 +1086,14 @@ def full_scale_gamma1(request):
 
 
 def test_full_scale_export_bytes_pinned(tmp_path, full_scale_gamma1):
-    # sha256 of the 200x200 gamma = 1 exports as written when every
-    # record was encoded on its own
+    # sha256 of the 200x200 gamma = 1 exports; they move only when the
+    # solver's output moves
     table, meta = full_scale_gamma1
     path = tmp_path / "table.json"
     export_table(table, path, meta=meta)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == {
-        20.0: "1dd70e273d9bcbd7f9d9801321e6a7fcfb90f0ff8d7ca22159dac4a0d25f67e5",
-        60.0: "5732140c2c77480e2e016f9314f3e21ac683abbe46bdd11a5a2a68f9a443c7ca",
+        20.0: "37bd32d3e11996b5a1c81b7c7f1eb8f6a0ef036685099a1f9985622d3fcedfba",
+        60.0: "7e1857fe7fd692ae39bd68b2c92a09a6bd800aebcd1a787765b3d7321176d7ee",
     }[meta["d_jr"]]
 
 
