@@ -295,6 +295,7 @@ def _simulate(table, runs, seed, sigmas, error_pair):
         z = _perturbations(seed, chunk) if any(sigma > 0.0 for sigma in sigmas) else None
         lifetimes[start:stop], successes[:, start:stop] = _play_chunk(
             table.config, cum_t, cum_j, lmap, u, *_channel(params, sigmas, z, len(chunk)))
+        del u  # before the next chunk's uniforms are drawn
     return [SimulationResult(
         runs=runs,
         seed=seed,

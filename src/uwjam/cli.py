@@ -195,7 +195,8 @@ def _write_csv(out_path, columns, rows, cfg):
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w") as fh:
+        # a failed write leaves any earlier file at out_path as it was
+        with solver._replacing(out_path, "x") as fh:
             fh.write(text)
 
 

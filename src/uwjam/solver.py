@@ -51,7 +51,6 @@ import json
 import math
 import numbers
 import os
-import re
 import uuid
 from dataclasses import dataclass, fields
 
@@ -587,9 +586,7 @@ def solve_full_game(config):
     base = payoff_matrix(config.subgame)
     g_store = config.effective_horizon()
     horizon_values = np.zeros((g_store + 1, b_t0 + 1, b_j0 + 1))
-    t_probs = np.zeros((b_t0 + 1, b_j0 + 1, k + 1))
-    j_probs = np.zeros((b_t0 + 1, b_j0 + 1, 2 * k))
-    values = np.zeros((b_t0 + 1, b_j0 + 1))
+    t_probs, j_probs, values = _table_arrays(config)
     # a jam count above b_j is one the jammer cannot afford
     unaffordable = np.arange(b_j0 + 1)[:, None] < np.arange(2 * k)
     for lo, hi, m, safe_bt, alive in _levels(k, b_t0):
@@ -727,17 +724,66 @@ def fixed_policy_table(config, t_policy, j_policy):
 # ---------------------------------------------------------------------------
 # persistence
 
+# states written or read at a time, in whole b_t levels, at least one
+_IO_STATES = 4096
+# a record's body as written and as the checksum's sorted-key text has it
+_BODY = '"strat_t":[{0}],"strat_j":[{1}],{2}'
+_CANONICAL_BODY = '"strat_j":[{1}],"strat_t":[{0}],{2}'
 
-def _states_text(table):
-    """The compact JSON text of a table's state records, in (b_t, b_j) order.
 
-    Each distinct record (legal strategy prefixes and value, compared as
-    bytes, so -0.0 and 0.0 stay apart) is encoded once, in one
-    ``json.dumps`` call; each state puts its battery pair in front.
+def _io_blocks(config):
+    """Blocks (lo, hi, b_t, b_j) of levels lo .. hi-1, with each state's
+    member texts 'X,' and '"b_j":Y,'.
+
+    A states list, [{"b_t":X,"b_j":Y,"strat_t":[T],...},{"b_t":...}], is
+    cut before each '"b_t":' into 'X,"b_j":Y,' and a body
+    '"strat_t":[T],"strat_j":[J],"value":V},{' (the last ends '}]'); the
+    checksum's text puts '"b_j":Y,' before '"b_t":X,'.
     """
-    cfg = table.config
-    k = cfg.k
-    b_t, b_j = (grid.ravel() for grid in np.mgrid[k:cfg.b_t0 + 1, :cfg.b_j0 + 1])
+    b_j = [f'"b_j":{y},' for y in range(config.b_j0 + 1)]
+    per = max(1, _IO_STATES // len(b_j))
+    for lo in range(config.k, config.b_t0 + 1, per):
+        levels = range(lo, min(lo + per, config.b_t0 + 1))
+        b_t = [x for x in map("{},".format, levels) for _ in b_j]
+        yield lo, levels.stop, b_t, b_j * len(levels)
+
+
+def _members(body):
+    """(T, J, rest) of a body '"strat_t":[T],"strat_j":[J],' + rest whose
+    T and J hold no ']', or None for text of another shape."""
+    t, _, rest = body.partition("]")
+    j, _, rest = rest.partition("]")
+    if t.startswith('"strat_t":[') and j.startswith(',"strat_j":[') and rest.startswith(","):
+        return t[11:], j[12:], rest[1:]
+    return None
+
+
+def _canonical_piece(piece):
+    """The checksum's text of '"b_t":' + piece, for a piece of any shape:
+    'X,"b_j":Y,' + body becomes '"b_j":Y,"b_t":X,' + body with strat_j
+    first where both read as export_table writes them, else it stays."""
+    x, _, rest = piece.partition(",")
+    y, _, body = rest.partition(",")
+    members = _members(body)
+    if x.isdecimal() and y[:6] == '"b_j":' and y[6:].isdecimal() and members:
+        return f'{y},"b_t":{x},' + _CANONICAL_BODY.format(*members)
+    return '"b_t":' + piece
+
+
+def _interleave(*columns):
+    """The text of the columns' entries, row by row; the first is a list."""
+    text = [None] * (len(columns) * len(columns[0]))
+    for i, column in enumerate(columns):
+        text[i::len(columns)] = column
+    return "".join(text)
+
+
+def _encode_block(table, lo, hi):
+    """(inverse, bodies, canonical_bodies) of levels lo .. hi-1: each
+    distinct record (legal strategy prefixes and value, compared as bytes,
+    so -0.0 and 0.0 stay apart) encoded once, in one ``json.dumps`` call."""
+    k = table.config.k
+    b_t, b_j = (grid.ravel() for grid in np.mgrid[lo:hi, :table.config.b_j0 + 1])
     t_width, j_width = _widths(k, b_t, b_j)
     t_rows = np.where(np.arange(k + 1) < t_width[:, None], table.t_probs[b_t, b_j], 0.0)
     j_rows = np.where(np.arange(2 * k) < j_width[:, None], table.j_probs[b_t, b_j], 0.0)
@@ -746,62 +792,20 @@ def _states_text(table):
     rows = np.column_stack([t_rows, j_rows, values, t_width, j_width]).astype(float)
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    distinct = json.dumps([{"strat_t": t[:t_w], "strat_j": j[:j_w], "value": v}
-                           for t, j, v, t_w, j_w in zip(*(col[first].tolist() for col in (
-                               t_rows, j_rows, values, t_width, j_width)))],
-                          separators=(",", ":"))
-    # numbers hold no braces, so "},{" only ever ends a record
-    texts = distinct[2:-2].split("},{")
-    return "[" + ",".join(map('{{"b_t":{},"b_j":{},{}}}'.format, b_t.tolist(), b_j.tolist(),
-                              map(texts.__getitem__, inverse.tolist()))) + "]"
+    text = json.dumps([[t[:w] for t, w in zip(t_rows[first].tolist(), t_width[first].tolist())],
+                       [j[:w] for j, w in zip(j_rows[first].tolist(), j_width[first].tolist())],
+                       values[first].tolist()], separators=(",", ":"))
+    # [[[T],..],[[J],..],[V,..]]: numbers hold no brackets or commas
+    t_text, j_text, v_text = text[3:-2].split("]],[")
+    members = (t_text.split("],["), j_text[1:].split("],["),
+               ['"value":' + v + "},{" for v in v_text.split(",")])
+    return (inverse.tolist(), list(map(_BODY.format, *members)),
+            list(map(_CANONICAL_BODY.format, *members)))
 
 
 def _checksum(states_payload):
     canonical = json.dumps(states_payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-# The members of a record whose order in the compact text export_table
-# writes (b_t, b_j, strat_t, strat_j, value) differs from the sorted-key
-# text _checksum hashes (b_j, b_t, strat_j, strat_t, value)
-_SWAPPED_MEMBERS = re.compile(
-    r'("b_t":\d+,)("b_j":\d+,)("strat_t":\[[^\]]*\],)("strat_j":\[[^\]]*\],)')
-# the text after a record's strat_j member: its value member, then "},{"
-# before the next record or "}]" after the last
-_VALUE_MEMBER = re.compile(r'"value":([^\[\]{},"]*)\}(?:,\{|\])')
-# characters of states text rewritten at a time
-_BLOCK = 1 << 20
-
-
-def _canonical_digest(text, start, stop, members=None):
-    """Checksum of the compact states text text[start:stop].
-
-    Swapping the two member pairs of every record turns the text into
-    the canonical text :func:`_checksum` encodes, so no float is encoded
-    again. It goes about ``_BLOCK`` characters at a time, cut after the
-    "},{" between two records, so the pieces it is split into stay small.
-
-    ``members``, six (dict, list) pairs, also numbers the texts the split
-    yields (each block's text before its first record, then each
-    record's b_t, b_j, strat_t and strat_j members and the text after
-    them) in order of first occurrence, one dict and list per kind.
-    """
-    digest = hashlib.sha256()
-    while start < stop:
-        # just past the "},{" after a record, or at stop
-        end = text.find("},{", start + _BLOCK, stop)
-        end = stop if end < 0 else end + 3
-        parts = _SWAPPED_MEMBERS.split(text[start:end])
-        for i, (index, order) in enumerate(members or ()):
-            texts = parts[i::5] if i else parts[:1]
-            for new in dict.fromkeys(texts):
-                index.setdefault(new, len(index))
-            order.extend(map(index.__getitem__, texts))
-        parts[1::5], parts[2::5], parts[3::5], parts[4::5] = (
-            parts[2::5], parts[1::5], parts[4::5], parts[3::5])
-        digest.update("".join(parts).encode())
-        start = end
-    return digest.hexdigest()
 
 
 def _tail(meta):
@@ -811,43 +815,21 @@ def _tail(meta):
     return ',"meta":' + json.dumps(meta, separators=(",", ":")) + "}\n"
 
 
-def _read_compact(text):
-    """(digest, doc, columns) read from the text of a table file.
-
-    digest is the (checksum, tail) around the first states list, or None.
-    If every record reads exactly as export_table writes it and the
-    checksum checks, doc is the document with its states list emptied
-    and columns holds, for b_t, b_j, strat_t, strat_j and value, each
-    distinct member text parsed once and every record's index among
-    them; otherwise both are None.
-    """
-    start = text.find('"states":[') + len('"states":')
-    # records hold no nested objects, so the first "}]" closes the list
-    end = start if text.startswith("[]", start) else text.find("}]", start)
-    if start < len('"states":') or end < 0:
-        return None, None, None
-    (heads, _), *fields = members = [({}, []) for _ in range(6)]
-    digest = _canonical_digest(text, start, end + 2, members), text[end + 2:]
-    columns = []
+@contextlib.contextmanager
+def _replacing(path, mode):
+    """A new file beside path, opened with mode ("x" or "xb"), that
+    replaces path when the block ends; if it raises, path stays as it was."""
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex[:12]}.tmp")
+    fh = open(tmp, mode)
     try:
-        doc = json.loads(text[:start] + "[]" + text[end + 2:])
-        if (list(heads) not in (["[{"], ["[{", ""]) or not isinstance(doc, dict)
-                or doc.get("states") != []
-                or digest != (doc.get("checksum"), _tail(doc.get("meta")))):
-            return digest, None, None
-        for (index, order), cut in zip(fields, (6, 6, 10, 10, 0)):
-            texts = ([member[cut:-1] for member in index] if cut
-                     else [match[1] for match in map(_VALUE_MEMBER.fullmatch, index)])
-            parsed = json.loads("[" + ",".join(texts) + "]")
-            # strategy entries and values must be floats: a string, an
-            # object or a nested list could span the texts joined here
-            leaves = itertools.chain.from_iterable(parsed) if cut == 10 else parsed
-            if cut != 6 and set(map(type, leaves)) - {float}:
-                return digest, None, None
-            columns.append((parsed, np.array(order)))
-    except (TypeError, json.JSONDecodeError):  # a value text that did not match, or not JSON
-        return digest, None, None
-    return digest, doc, columns
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def export_table(table, path, meta=None):
@@ -856,13 +838,10 @@ def export_table(table, path, meta=None):
     States are ordered by (b_t, b_j) and floats keep their shortest
     round-trip form, so identical tables produce identical bytes. A
     sha256 checksum over the state records guards against truncation.
-
-    Each distinct record is encoded once (:func:`_states_text`). The
-    checksum's canonical (sorted-key) text is derived from that encoding
-    by reordering record members, and the header, the states text and
-    the meta tail are written in pieces, so no second copy of the
-    document is built. The bytes equal
-    ``json.dumps(doc, separators=(",", ":"))`` plus a newline.
+    The states go out one block of levels at a time, each distinct record
+    encoded once (:func:`_encode_block`) and hashed in sorted-key order as
+    it goes; the digest fills the header's placeholder at the end. The
+    bytes equal ``json.dumps(doc, separators=(",", ":"))`` plus a newline.
 
     :param meta: optional JSON-serializable dict of caller context
         (for example the jammer distance a table was solved at)
@@ -870,31 +849,130 @@ def export_table(table, path, meta=None):
     The file is replaced in one step: a failed export leaves any earlier
     file at path untouched and no partial file behind.
     """
-    states_text = _states_text(table)
-    checksum = _canonical_digest(states_text, 0, len(states_text))
-    head = json.dumps({
-        "format": TABLE_FORMAT,
-        "version": TABLE_VERSION,
-        "config": table.config.to_dict(),
-        "checksum": checksum,
-    }, separators=(",", ":"))
-    tail = _tail(table.meta if meta is None else meta)
-    # write beside the target and rename over it, so a failed write
-    # leaves the previous file as it was
-    directory, name = os.path.split(os.fspath(path))
-    tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex[:12]}.tmp")
-    fh = open(tmp, "x")
+    head = json.dumps({"format": TABLE_FORMAT, "version": TABLE_VERSION,
+                       "config": table.config.to_dict(), "checksum": "0" * 64},
+                      separators=(",", ":"))
+    tail = _tail(table.meta if meta is None else meta).encode()
+    digest = hashlib.sha256()
+    with _replacing(path, "xb") as fh:
+        fh.write(head[:-1].encode() + b',"states":')
+        # a block's closing "},{" goes out before the next one
+        sep = b"[{"
+        for lo, hi, b_t, b_j in _io_blocks(table.config):
+            inverse, bodies, canonical_bodies = _encode_block(table, lo, hi)
+            key = ['"b_t":'] * len(b_t)
+            written = _interleave(key, b_t, b_j, map(bodies.__getitem__, inverse))
+            canonical = _interleave(b_j, key, b_t, map(canonical_bodies.__getitem__, inverse))
+            for out, text in ((fh.write, written), (digest.update, canonical)):
+                out(sep)
+                out(memoryview(text.encode())[:-3])
+            sep = b"},{"
+        end = b"[]" if sep == b"[{" else b"}]"
+        fh.write(end + tail)
+        digest.update(end)
+        fh.seek(len(head) - 66)  # the placeholder checksum
+        fh.write(digest.hexdigest().encode())
+
+
+def _fill(arrays, b_t, b_j, strats_t, strats_j, values, at):
+    """Write (t_probs, j_probs, values) at the states (b_t[i], b_j[i]) from
+    entry at[i] of strats_t, strats_j and values; return the first i whose
+    strategy lengths are not its legal action counts, or None."""
+    arrays[2][b_t, b_j] = np.array(values)[at]
+    for target, strats, width in zip(arrays, (strats_t, strats_j),
+                                     _widths(arrays[0].shape[2] - 1, b_t, b_j)):
+        lengths = np.array([len(strat) for strat in strats])
+        wrong = np.flatnonzero(lengths[at] != width)
+        if wrong.size:
+            return wrong[0]
+        # a boolean mask fills row by row, so entry r's numbers land in
+        # the first lengths[r] columns of row r
+        legal = np.arange(target.shape[2]) < lengths[:, None]
+        rows = np.zeros(legal.shape)
+        rows[legal] = np.fromiter(itertools.chain.from_iterable(strats), float,
+                                  count=int(lengths.sum()))
+        target[b_t, b_j] = rows[at]
+    return None
+
+
+def _table_arrays(config):
+    """Zero (t_probs, j_probs, values) over a config's battery grid."""
+    grid = (config.b_t0 + 1, config.b_j0 + 1)
+    return np.zeros((*grid, config.k + 1)), np.zeros((*grid, 2 * config.k)), np.zeros(grid)
+
+
+def _read_layout(text):
+    """(digest, loaded) read from a table file's text.
+
+    digest is the (checksum, text after it) of the first states list, or
+    None. Blocks that keep to export_table's layout parse each distinct
+    body once; from the first that strays on, the text is hashed piece by
+    piece. loaded is (doc with its states emptied, arrays) if every block
+    keeps to the layout and the checksum checks, else None.
+    """
+    start = text.find('"states":[') + len('"states":')
+    # records hold no nested objects, so the first "}]" closes the list
+    end = start if text.startswith("[]", start) else text.find("}]", start)
+    if start < len('"states":') or end < 0:
+        return None, None
     try:
-        with fh:
-            fh.write(head[:-1])
-            fh.write(',"states":')
-            fh.write(states_text)
-            fh.write(tail)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        doc = json.loads(text[:start] + "[]" + text[end + 2:])
+        config = GameConfig.from_dict(doc["config"])
+    except (ConfigError, KeyError, TypeError, ValueError):  # not JSON, or no valid config
+        return None, None
+    arrays = _table_arrays(config)
+    digest = hashlib.sha256()
+    a = start
+    for lo, hi, b_t, b_j in _io_blocks(config):
+        b = end if hi > config.b_t0 else text.find(f'"b_t":{hi},"b_j":0,', a, end)
+        if b < 0:
+            break
+        # the last block ends in "},{" as every other one does
+        lead, *pieces = (text[a:b] + ("},{" if b == end else "")).split('"b_t":')
+        heads = list(map(str.__add__, b_t, b_j))
+        if (lead != ("[{" if a == start else "") or len(pieces) != len(heads)
+                or not all(map(str.startswith, pieces, heads))):
+            break
+        bodies = list(map(str.removeprefix, pieces, heads))
+        index = {body: i for i, body in enumerate(dict.fromkeys(bodies))}
+        members = list(map(_members, index))
+        inverse = list(map(index.__getitem__, bodies))
+        if None in members or not _parse_bodies(arrays, lo, hi, members, inverse):
+            break
+        canonical_bodies = [_CANONICAL_BODY.format(*m) for m in members]
+        canonical = lead + _interleave(b_j, ['"b_t":'] * len(b_t), b_t,
+                                       map(canonical_bodies.__getitem__, inverse))
+        digest.update((canonical[:-3] if b == end else canonical).encode())
+        a = b
+    # an empty list holds no record to read through the layout
+    fast = a == end > start
+    lead, *pieces = text[a:end + 2].split('"b_t":')
+    digest.update((lead + "".join(map(_canonical_piece, pieces))).encode())
+    digest = digest.hexdigest(), text[end + 2:]
+    if fast and doc.get("states") == [] and digest == (doc.get("checksum"),
+                                                      _tail(doc.get("meta"))):
+        return digest, (doc, arrays)
+    return digest, None
+
+
+def _parse_bodies(arrays, lo, hi, members, inverse):
+    """Parse the distinct bodies of levels lo .. hi-1 from their (T, J,
+    rest) members into arrays, state i taking body inverse[i]; False
+    unless each reads as export_table writes it."""
+    ts, js, rests = zip(*members)
+    values = [rest[8:-3] for rest in rests if rest[:8] == '"value":' and rest[-3:] == "},{"]
+    try:
+        parsed = (json.loads(f"[[{'],['.join(ts)}]]"), json.loads(f"[[{'],['.join(js)}]]"),
+                  json.loads(f"[{','.join(values)}]"))
+    except json.JSONDecodeError:
+        return False
+    # one float list or float per body: a string, an object or a nested
+    # list could span the texts joined here
+    if (any(len(column) != len(members) for column in parsed)
+            or set(map(type, itertools.chain(parsed[2], *parsed[0], *parsed[1]))) - {float}):
+        return False
+    b_t, b_j = (grid.ravel() for grid in np.mgrid[lo:hi, :arrays[2].shape[1]])
+    return _fill(arrays, b_t, b_j, *parsed, np.array(inverse)) is None
 
 
 def load_table(path):
@@ -906,8 +984,8 @@ def load_table(path):
     probability distributions.
     The loaded table carries deployed strategies and values only.
 
-    A file laid out as export_table writes it is parsed one distinct
-    member text at a time (:func:`_read_compact`). Any other file (other
+    A file laid out as export_table writes it is read one block of levels
+    at a time (:func:`_read_layout`); any other file (other record order,
     whitespace, key order or float spelling) is parsed whole, and its
     records are encoded again for the checksum unless the hash of its
     states text settles it. Both ways run the same checks.
@@ -915,9 +993,8 @@ def load_table(path):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        digest, doc, columns = _read_compact(text)
-        if columns is None:
-            doc = json.loads(text)
+        digest, loaded = _read_layout(text)
+        doc, arrays = loaded or (json.loads(text), None)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TableError(f"{path}: not a valid table file: {exc}") from None
     del text  # the parsed records take its place
@@ -935,53 +1012,37 @@ def load_table(path):
         config = GameConfig.from_dict(doc["config"])
     except ConfigError as exc:
         raise TableError(f"{path}: {exc}") from None
-    states = doc["states"]
-    # a tail other than export_table's could hold a second "states" key
-    # that the parser takes instead of the text hashed above
-    if (digest != (doc["checksum"], _tail(doc.get("meta")))
-            and _checksum(states) != doc["checksum"]):
-        raise TableError(f"{path}: checksum mismatch, file corrupt or truncated")
     k = config.k
-    t_probs = np.zeros((config.b_t0 + 1, config.b_j0 + 1, k + 1))
-    j_probs = np.zeros((config.b_t0 + 1, config.b_j0 + 1, 2 * k))
-    values = np.zeros((config.b_t0 + 1, config.b_j0 + 1))
-    expected = max(0, config.b_t0 - k + 1) * (config.b_j0 + 1)
-    try:
-        count = len(states) if columns is None else len(columns[0][1])
-        if count != expected:
-            raise TableError(f"{path}: {count} states, expected {expected}")
-        if expected:
-            # one array per record field, checked and written whole: each
-            # column's distinct entries (a parsed document's every record,
-            # taken whole by slice(None)) are converted once and gathered
-            (b_t, b_t_at), (b_j, b_j_at), strat_t, strat_j, (value, value_at) = columns or [
-                ([rec[name] for rec in states], slice(None))
-                for name in ("b_t", "b_j", "strat_t", "strat_j", "value")]
-            b_t, b_j = np.array(b_t)[b_t_at], np.array(b_j)[b_j_at]
-            if b_t.dtype.kind != "i" or b_j.dtype.kind != "i":
-                raise TypeError("battery levels must be integers")
-            outside = np.flatnonzero((b_t < k) | (b_t > config.b_t0)
-                                     | (b_j < 0) | (b_j > config.b_j0))
-            if outside.size:
-                i = outside[0]
-                raise TableError(f"{path}: state ({b_t[i]}, {b_j[i]}) outside the grid")
-            values[b_t, b_j] = np.array(value)[value_at]
-            for target, (strats, at), width in zip(
-                    (t_probs, j_probs), (strat_t, strat_j), _widths(k, b_t, b_j)):
-                lengths = np.array([len(strat) for strat in strats])
-                wrong = np.flatnonzero(lengths[at] != width)
-                if wrong.size:
-                    i = wrong[0]
+    if arrays is None:
+        states = doc["states"]
+        # a tail other than export_table's could hold a second "states"
+        # key that the parser takes instead of the text hashed above
+        if (digest != (doc["checksum"], _tail(doc.get("meta")))
+                and _checksum(states) != doc["checksum"]):
+            raise TableError(f"{path}: checksum mismatch, file corrupt or truncated")
+        arrays = _table_arrays(config)
+        expected = max(0, config.b_t0 - k + 1) * (config.b_j0 + 1)
+        try:
+            if len(states) != expected:
+                raise TableError(f"{path}: {len(states)} states, expected {expected}")
+            if expected:
+                # one array per record field, checked and written whole
+                b_t, b_j, *records = ([rec[name] for rec in states] for name in (
+                    "b_t", "b_j", "strat_t", "strat_j", "value"))
+                b_t, b_j = np.array(b_t), np.array(b_j)
+                if b_t.dtype.kind != "i" or b_j.dtype.kind != "i":
+                    raise TypeError("battery levels must be integers")
+                outside = np.flatnonzero((b_t < k) | (b_t > config.b_t0)
+                                         | (b_j < 0) | (b_j > config.b_j0))
+                if outside.size:
+                    i = outside[0]
+                    raise TableError(f"{path}: state ({b_t[i]}, {b_j[i]}) outside the grid")
+                i = _fill(arrays, b_t, b_j, *records, slice(None))
+                if i is not None:
                     raise TableError(f"{path}: wrong strategy length at ({b_t[i]}, {b_j[i]})")
-                # a boolean mask fills row by row, so entry r's numbers
-                # land in the first lengths[r] columns of row r
-                legal = np.arange(target.shape[2]) < lengths[:, None]
-                rows = np.zeros(legal.shape)
-                rows[legal] = np.fromiter(itertools.chain.from_iterable(strats), float,
-                                          count=int(lengths.sum()))
-                target[b_t, b_j] = rows[at]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise TableError(f"{path}: malformed state record: {exc}") from None
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise TableError(f"{path}: malformed state record: {exc}") from None
+    t_probs, j_probs, values = arrays
     for arr, label in ((values, "value"), (t_probs, "strat_t"), (j_probs, "strat_j")):
         if not np.isfinite(arr).all():
             raise TableError(f"{path}: {label} holds NaN or infinity")

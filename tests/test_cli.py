@@ -4,11 +4,12 @@ import csv
 import io
 import json
 import math
+import os
 
 import pytest
 
 import uwjam.solver
-from uwjam.cli import DEFAULT_SWEEP, REPORT_COLUMNS, ScenarioConfig, main
+from uwjam.cli import DEFAULT_SWEEP, REPORT_COLUMNS, ScenarioConfig, _write_csv, main
 from uwjam.errors import ConfigError
 from uwjam.solver import export_table, load_table
 
@@ -67,6 +68,18 @@ def test_per_sweep_to_file(tmp_path, scenario):
     # the config comment reproduces the resolved scenario
     cfg = ScenarioConfig.from_dict(json.loads(comment[len("# config: "):]))
     assert cfg.k == 2 and cfg.sweep == (50, 60)
+
+
+def test_failed_csv_write_keeps_previous_file(tmp_path, scenario):
+    out = tmp_path / "sweep.csv"
+    assert main(["per-sweep", "--config", scenario, "--out", str(out)]) == 0
+    before = out.read_bytes()
+    # a row the file's encoding cannot write: the write itself raises
+    rows = [{"distance_m": 50.0}, {"distance_m": "\ud800"}]
+    with pytest.raises(UnicodeEncodeError):
+        _write_csv(str(out), ["distance_m"], rows, ScenarioConfig.from_dict(SMALL_SCENARIO))
+    assert out.read_bytes() == before
+    assert os.listdir(tmp_path) == ["sweep.csv"]
 
 
 def test_per_sweep_empirical(tmp_path):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1055,11 +1056,13 @@ def test_export_equals_two_encode_reference(tmp_path, export_game, meta, monkeyp
         assert getattr(loaded, name).tobytes() == getattr(export_game, name).tobytes()
 
 
+# states per block: one level (7 states) per block, blocks of 5 levels
+# that cut the table, and one block for the whole table
 @pytest.mark.parametrize("block", [1, 40, 333])
 def test_export_and_load_cut_the_states_text_between_records(tmp_path, small_game, block,
                                                               monkeypatch):
     _, table = small_game
-    monkeypatch.setattr(uwjam.solver, "_BLOCK", block)
+    monkeypatch.setattr(uwjam.solver, "_IO_STATES", block)
     path = tmp_path / "table.json"
     export_table(table, path, meta={"d_jr": 60.0})
     assert path.read_bytes() == oracles.export_text_reference(table, {"d_jr": 60.0}).encode()
@@ -1068,6 +1071,22 @@ def test_export_and_load_cut_the_states_text_between_records(tmp_path, small_gam
     loaded = load_table(path)
     for name in ("values", "t_probs", "j_probs"):
         assert getattr(loaded, name).tobytes() == getattr(table, name).tobytes()
+
+
+def test_export_memory_is_bounded_by_the_block(tmp_path):
+    # the export works one block of levels at a time, so its peak does
+    # not grow with the number of states
+    peaks = []
+    for b_t0 in (100, 400):
+        cfg = game_config_for(ScenarioConfig(horizon=1, b_t0=b_t0), 60.0)
+        table = solve_full_game(cfg)
+        tracemalloc.start()
+        try:
+            export_table(table, tmp_path / "table.json", meta={"d_jr": 60.0})
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def test_export_bytes_pinned(tmp_path, small_game):
@@ -1171,9 +1190,10 @@ def _loads_as_reference(path):
 
 
 def _read_per_record(path):
-    """Whether load_table reads path one distinct member text at a time
-    rather than parsing the whole document."""
-    return uwjam.solver._read_compact(path.read_text())[2] is not None
+    """Whether load_table reads path through export_table's layout, one
+    distinct record body at a time, rather than parsing the whole
+    document."""
+    return uwjam.solver._read_layout(path.read_text())[1] is not None
 
 
 def _check_round_trip(path, table, meta=None):
