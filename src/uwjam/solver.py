@@ -402,12 +402,16 @@ def solve_matrix_game(matrix):
     :returns: (value, row_strategy, col_strategy) with strategies as
         probability arrays over the rows and columns
 
-    Neither player gains more than rounding by a pure deviation: the
-    worst gap over every stage game the full-scale solves pivot
-    (200 x 200 quanta, k = 4, gamma = 30 and 1, every lookahead depth)
-    is 1.6e-12, and 8.0e-15 over 486 games with PERs of 0 or 1. Ties
-    between equilibria resolve deterministically through the fixed
-    pivoting rule, so repeated calls return identical arrays.
+    Neither player gains more than rounding by a pure deviation on well
+    conditioned games: the worst gap over every stage game the
+    full-scale solves pivot (200 x 200 quanta, k = 4, gamma = 30 and 1,
+    every lookahead depth) is 1.6e-12 at jammer distances of 20, 60 and
+    150 m, and 8.0e-15 over 486 games with PERs of 0 or 1. It does not
+    hold for near-degenerate games (ROADMAP item 1): at 30 m, whose
+    blocked PER is 1 - 1.0e-9, the worst gap is 1.0e-5, and at 40 m it
+    reaches 1.9e-9. Ties between equilibria resolve deterministically
+    through the fixed pivoting rule, so repeated calls return identical
+    arrays.
 
     :raises ValueError: unless the matrix is 2-D, nonempty and finite
     """
@@ -895,6 +899,11 @@ def _fill(arrays, b_t, b_j, strats_t, strats_j, values, at):
     return None
 
 
+def _record_count(config):
+    """States a table file lists: b_t = k .. b_t0 for every b_j."""
+    return max(0, config.b_t0 - config.k + 1) * (config.b_j0 + 1)
+
+
 def _table_arrays(config):
     """Zero (t_probs, j_probs, values) over a config's battery grid."""
     grid = (config.b_t0 + 1, config.b_j0 + 1)
@@ -919,6 +928,10 @@ def _read_layout(text):
         doc = json.loads(text[:start] + "[]" + text[end + 2:])
         config = GameConfig.from_dict(doc["config"])
     except (ConfigError, KeyError, TypeError, ValueError):  # not JSON, or no valid config
+        return None, None
+    # the checksum does not cover the config: size no arrays from it
+    # unless the list holds as many records as its grid
+    if text.count('"b_t":', start, end) != _record_count(config):
         return None, None
     arrays = _table_arrays(config)
     digest = hashlib.sha256()
@@ -1020,11 +1033,11 @@ def load_table(path):
         if (digest != (doc["checksum"], _tail(doc.get("meta")))
                 and _checksum(states) != doc["checksum"]):
             raise TableError(f"{path}: checksum mismatch, file corrupt or truncated")
-        arrays = _table_arrays(config)
-        expected = max(0, config.b_t0 - k + 1) * (config.b_j0 + 1)
+        expected = _record_count(config)
         try:
             if len(states) != expected:
                 raise TableError(f"{path}: {len(states)} states, expected {expected}")
+            arrays = _table_arrays(config)
             if expected:
                 # one array per record field, checked and written whole
                 b_t, b_j, *records = ([rec[name] for rec in states] for name in (

@@ -135,11 +135,11 @@ def subgame_payoff(params, n_t, n_j):
     """Transmitter frame payoff u_T(n_t, n_j); the jammer gets -u_T.
 
     Lies in (-1, 1]: the energy term is at most 2k/(2k+1) < 1 in
-    magnitude and the success term is within [0, 1].
+    magnitude and the success term is within [0, 1]. Read from the
+    cached :func:`payoff_matrix`.
     """
-    chi = expected_success(params, n_t, n_j)
-    return (params.alpha * (-n_t / (2.0 * params.k + 1.0))
-            + (1.0 - params.alpha) * chi)
+    _check_actions(params.k, n_t, n_j)
+    return float(payoff_matrix(params)[n_t - params.k, n_j])
 
 
 @lru_cache(maxsize=128)

@@ -2,6 +2,8 @@
 
 Everything here is deliberately dumb and slow: exhaustive enumeration,
 high-precision series, an off-the-shelf LP, or one state at a time.
+t975_reference is the Student t quantile behind the Monte Carlo
+intervals, found by root finding on mpmath's incomplete beta function.
 build_payoff_matrix and deployed_matrix build the stage matrix of a
 single state from its successors' values; the backward-induction and
 fixed-play references below loop over states with them, and the
@@ -61,6 +63,29 @@ def bessel_i0_reference(x, dps=50):
 
     with mpmath.workdps(dps):
         return float(mpmath.besseli(0, mpmath.mpf(x)))
+
+
+def t975_reference(nu, dps=60):
+    """Student's t quantile at exactly 0.975 with nu degrees of freedom:
+    mpmath's regularized incomplete beta function, bracketed root finding
+    on the upper tail 1/40, rounded once to a float."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        n = mpmath.mpf(nu)
+
+        def excess(t):
+            # betainc's argument stays at most 1/2, where its series converges fast
+            s = t * t
+            if n < s:
+                tail = mpmath.betainc(n / 2, 0.5, 0, n / (n + s), regularized=True) / 2
+            else:
+                tail = (1 - mpmath.betainc(0.5, n / 2, 0, s / (n + s), regularized=True)) / 2
+            return tail - mpmath.mpf(1) / 40
+
+        # the quantile lies between the normal one (1.96) and nu = 1's (12.71)
+        return float(mpmath.findroot(excess, (mpmath.mpf("1.9"), mpmath.mpf(13)),
+                                     solver="anderson"))
 
 
 def solve_game_linprog(matrix):

@@ -8,7 +8,9 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 import uwjam.analysis
 from uwjam.analysis import (
@@ -16,6 +18,7 @@ from uwjam.analysis import (
     SensitivitySpec,
     SimulationResult,
     _ci_half_width,
+    _t975,
     analyze,
     expected_lifetime,
     first_frame_success,
@@ -34,7 +37,7 @@ from uwjam.solver import (
 )
 from uwjam.subgame import expected_success
 
-from oracles import simulate_reference
+from oracles import simulate_reference, t975_reference
 
 
 def _cfg(**over):
@@ -208,11 +211,53 @@ def test_ci_half_width():
     samples = np.array([1.0, 2.0, 4.0, 8.0])
     want = scipy.stats.t.ppf(0.975, 3) * samples.std(ddof=1) / 2.0
     assert _ci_half_width(samples) == pytest.approx(want, rel=1e-12)
-    # the quantile comes from scipy.special, bit-equal to scipy.stats
     for n in (2, 30, 1000, 10_000):
         samples = np.arange(n, dtype=float) ** 2
-        want = float(scipy.stats.t.ppf(0.975, n - 1) * samples.std(ddof=1) / math.sqrt(n))
+        want = float(t975_reference(n - 1) * samples.std(ddof=1) / math.sqrt(n))
         assert _ci_half_width(samples) == want
+        # scipy's quantile reads the float 0.975, 2.2e-17 below the level,
+        # and is itself 1-2 ulp off: 6 ulp apart at n = 2, 3 at the others
+        scipy_t = float(scipy.special.stdtrit(n - 1, 0.975))
+        assert abs(_t975(n - 1) - scipy_t) <= 6 * math.ulp(scipy_t)
+
+
+@pytest.mark.parametrize("nu", [*range(1, 201), 999, 9999])
+def test_t975_correctly_rounded(nu):
+    assert _t975(nu) == t975_reference(nu)
+
+
+@given(st.integers(1, 10 ** 7))
+@settings(max_examples=30, deadline=None)
+def test_t975_correctly_rounded_sampled(nu):
+    assert _t975(nu) == t975_reference(nu)
+
+
+def _python(code):
+    """Run code in a fresh interpreter that imports the uwjam under test;
+    fail on a nonzero exit, showing its standard error."""
+    src = os.path.dirname(os.path.dirname(uwjam.analysis.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out
+
+
+def test_intervals_without_scipy():
+    # the Monte Carlo intervals need nothing beyond numpy and the
+    # standard library: with scipy unimportable they are still finite
+    out = _python(
+        "import sys; sys.modules['scipy'] = None\n"
+        "from uwjam import GameConfig, SensitivitySpec, sensitivity_sweep, simulate, "
+        "solve_full_game\n"
+        "table = solve_full_game(GameConfig(k=2, b_t0=8, b_j0=6, alpha=0.4, p_clear=0.1, "
+        "p_blocked=0.7, horizon=3))\n"
+        "rows = [simulate(table, 50, seed=1)] + sensitivity_sweep(\n"
+        "    table, SensitivitySpec(sigmas=(0.0, 0.1), runs=40), seed=1)\n"
+        "print(*[x for r in rows for x in (r.lifetime_ci, r.success_ci)])\n")
+    widths = [float(x) for x in out.stdout.split()]
+    assert len(widths) == 6 and all(math.isfinite(w) and w > 0.0 for w in widths)
 
 
 def test_simulation_result_frozen(ne_table):
@@ -222,20 +267,14 @@ def test_simulation_result_frozen(ne_table):
 
 
 def test_import_keeps_scipy_out():
-    # scipy.stats costs ~1.4 s and ~70 MB at import; only the Monte Carlo
-    # confidence interval needs scipy, and it imports it when called.
-    # Likewise numpy.random (~10 ms), which only the simulator needs;
-    # numpy before 2.0 imports it with numpy itself
-    import uwjam
-
-    src = os.path.dirname(os.path.dirname(uwjam.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, numpy; before = set(sys.modules); import uwjam; "
-            "print(sorted(m for m in set(sys.modules) - before "
-            "if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
+    # scipy.stats costs ~1.4 s and ~70 MB at import, and nothing in the
+    # package needs it: the interval quantile is computed in-package, and
+    # only that computation imports decimal. Likewise numpy.random
+    # (~10 ms), which only the simulator needs; numpy before 2.0 imports
+    # it with numpy itself
+    out = _python("import sys, numpy; before = set(sys.modules); import uwjam; "
+                  "print(sorted(m for m in set(sys.modules) - before "
+                  "if m.split('.')[0] in ('scipy', 'decimal') or m.startswith('numpy.random')))")
     assert out.stdout.strip() == "[]"
 
 

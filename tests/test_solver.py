@@ -987,6 +987,24 @@ def test_load_rejects_bad_records(tmp_path, small_game, edit, match):
         load_table(path)
 
 
+@pytest.mark.parametrize("field", ["b_t0", "b_j0"])
+@pytest.mark.parametrize("indent", [None, 1])
+def test_load_counts_records_before_sizing_the_grid(tmp_path, small_game, field, indent):
+    # the checksum covers the records, not the config: a header claiming
+    # a battery of 10^9 quanta fails on the record count (both as written
+    # and reformatted) instead of allocating a grid of over 100 GiB
+    _, table = small_game
+    path = tmp_path / "table.json"
+    export_table(table, path)
+    text = path.read_text()
+    old = f'"{field}":{getattr(table.config, field)},'
+    assert text.count(old) == 1
+    text = text.replace(old, f'"{field}":1000000000,')
+    path.write_text(text if indent is None else json.dumps(json.loads(text), indent=indent))
+    with pytest.raises(TableError, match="states, expected"):
+        load_table(path)
+
+
 def test_load_ignores_record_order(tmp_path, small_game):
     _, table = small_game
     path = tmp_path / "table.json"
