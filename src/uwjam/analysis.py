@@ -48,8 +48,10 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 12345
-# Monte Carlo runs stepped together; bounds the uniforms held at once
+# Monte Carlo runs stepped together, and frames of uniforms each of
+# them draws at a time; together they bound the uniforms held at once
 _CHUNK = 1024
+_FRAMES = 8
 
 
 def _subgame_for(table, error_pair):
@@ -317,10 +319,11 @@ def simulate(table, runs, seed=DEFAULT_SEED, sigma=0.0, error_pair=None):
     results are bit-identical to the unperturbed simulation.
 
     Runs are played in chunks of ``_CHUNK``: each run still draws its
-    own block of uniforms from its own substream, and each frame is one
-    array step over the chunk's runs still alive. A run's arithmetic is
-    the same as playing it alone, so the result does not depend on the
-    chunking, and memory stays bounded by the chunk, not by ``runs``.
+    uniforms from its own substream, ``_FRAMES`` frames at a time while
+    it is alive, and each frame is one array step over the chunk's runs
+    still alive. A run's arithmetic is the same as playing it alone, so
+    the result depends on neither the chunk nor the frame block, and
+    memory stays bounded by them, not by ``runs`` or the battery.
 
     The per-run success statistic weights frame t by
     1/(1 + E[L|S_{t+1}]) times the running product of
@@ -344,26 +347,25 @@ def _simulate(table, runs, seed, sigmas, error_pair):
 
     Only the coin test reads sigma, so each chunk draws its play
     uniforms and steps its action path once for every sigma; only one
-    chunk's uniforms are held, whatever the number of sigmas.
+    block of frames of one chunk's uniforms is held, whatever the number
+    of sigmas.
     """
     if runs < 1:
         raise ValueError("need at least one run")
     if any(sigma < 0 for sigma in sigmas):
         raise ValueError("sigma must be nonnegative")
     params = _subgame_for(table, error_pair)
-    cum_t = np.cumsum(table.t_probs, axis=2)
-    cum_j = np.cumsum(table.j_probs, axis=2)
     lmap = _lifetime_map(table)
     lifetimes = np.empty(runs)
     successes = np.empty((len(sigmas), runs))
     for start in range(0, runs, _CHUNK):
         stop = min(start + _CHUNK, runs)
         chunk = range(start, stop)
-        u = _play_uniforms(table.config, seed, chunk)
+        draw = _play_uniforms(table.config, seed, chunk)
         z = _perturbations(seed, chunk) if any(sigma > 0.0 for sigma in sigmas) else None
         lifetimes[start:stop], successes[:, start:stop] = _play_chunk(
-            table.config, cum_t, cum_j, lmap, u, *_channel(params, sigmas, z, len(chunk)))
-        del u  # before the next chunk's uniforms are drawn
+            table, lmap, draw, *_channel(params, sigmas, z, len(chunk)))
+        del draw  # its generators and block go before the next chunk's come
     return [SimulationResult(
         runs=runs,
         seed=seed,
@@ -432,14 +434,22 @@ def _streams(seed, runs, key):
 
 
 def _play_uniforms(cfg, seed, runs):
-    """Each run's (frames, draws) block of uniforms from its play stream."""
+    """draw(live): a (len(runs), _FRAMES, draws) block of uniforms whose
+    rows live (indices into runs) hold those runs' next _FRAMES frames,
+    each read on from its own play stream; other rows keep what they held.
+    Each call overwrites the block the last one returned."""
     # fixed draw budget per frame: 2 action picks, 2 slot permutations,
     # up to 2k packet coins
     draws = 2 + 2 * (2 * cfg.k - 1) + 2 * cfg.k
-    u = np.empty((len(runs), cfg.b_t0 // cfg.k, draws))
-    for i, stream in enumerate(_streams(seed, runs, 1)):
-        np.random.Generator(stream).random(out=u[i])
-    return u
+    fills = [np.random.Generator(stream).random for stream in _streams(seed, runs, 1)]
+    u = np.empty((len(runs), _FRAMES, draws))
+    rows = list(u)
+
+    def draw(live):
+        for i in live.tolist():
+            fills[i](out=rows[i])
+        return u
+    return draw
 
 
 def _perturbations(seed, runs):
@@ -463,12 +473,26 @@ def _channel(params, sigmas, z, size):
     return p_clear, p_blocked
 
 
-def _play_chunk(cfg, cum_t, cum_j, lmap, u, p_clear, p_blocked):
+def _pick(probs, width, u):
+    """searchsorted(side="left") of u * total over each row's first width
+    cumulative entries: the number of them below. The sums are those of
+    np.cumsum(probs, axis=1), added a column at a time, which is faster
+    on rows this short."""
+    cum = probs.T.copy()
+    for i in range(1, len(cum)):
+        cum[i] += cum[i - 1]
+    below = cum < u * cum[width - 1, np.arange(len(u))]
+    return (below & (np.arange(len(cum))[:, None] < width)).sum(axis=0)
+
+
+def _play_chunk(table, lmap, draw, p_clear, p_blocked):
     """Lifetimes (runs,) and success statistics (sigmas, runs) of the runs
-    whose uniforms are u; only the coin test reads the PERs (sigmas, runs)."""
+    whose uniforms draw gives (:func:`_play_uniforms`); only the coin test
+    reads the PERs (sigmas, runs)."""
+    cfg = table.config
     k = cfg.k
     slots = 2 * k - 1
-    size = u.shape[0]
+    size = p_clear.shape[1]
     b_t = np.full(size, cfg.b_t0)
     b_j = np.full(size, cfg.b_j0)
     frames = np.zeros(size)
@@ -476,21 +500,17 @@ def _play_chunk(cfg, cum_t, cum_j, lmap, u, p_clear, p_blocked):
     weight = np.ones(size)
     live = np.arange(size)
     ranks = np.arange(slots)
-    for frame in range(u.shape[1]):
+    for frame in range(cfg.b_t0 // k):
         live = live[b_t[live] >= k]
         if live.size == 0:
             break
-        row = u[live, frame]
+        if frame % _FRAMES == 0:
+            u = draw(live)
+        row = u[live, frame % _FRAMES]
         bt, bj = b_t[live], b_j[live]
-        # searchsorted(side="left") over the legal prefix: the number of
-        # cumulative entries below u * total
         m, n = _widths(k, bt, bj)
-        ct = cum_t[bt, bj]
-        below = ct < row[:, :1] * np.take_along_axis(ct, m[:, None] - 1, axis=1)
-        n_t = k + (below & (np.arange(k + 1) < m[:, None])).sum(axis=1)
-        cj = cum_j[bt, bj]
-        below = cj < row[:, 1:2] * np.take_along_axis(cj, n[:, None] - 1, axis=1)
-        n_j = (below & (np.arange(2 * k) < n[:, None])).sum(axis=1)
+        n_t = k + _pick(table.t_probs[bt, bj], m, row[:, 0])
+        n_j = _pick(table.j_probs[bt, bj], n, row[:, 1])
         # stable argsort breaks ties by slot index, as sorted() does
         packet_slots = np.argsort(row[:, 2: 2 + slots], axis=1, kind="stable")
         jam_order = np.argsort(row[:, 2 + slots: 2 + 2 * slots], axis=1, kind="stable")

@@ -340,15 +340,13 @@ def _cmd_solve(args):
 
 def _cmd_evaluate(args):
     cfg = _load_scenario(args)
-    entries = []
+    rows = []
     for path in args.table:
         table = solver.load_table(path)
         d_jr, mode = _verify_table(table, cfg)
-        entries.append((d_jr, mode, table))
-    entries.sort(key=lambda e: e[0])
-    rows = []
-    for d_jr, mode, table in entries:
         rows.append(_report_row(cfg, d_jr, analysis.analyze(table), mode, mode))
+        del table  # scored: the next load holds no earlier table
+    rows.sort(key=lambda row: row["distance_m"])
     _write_csv(args.out, REPORT_COLUMNS, rows, cfg)
     return 0
 

@@ -728,16 +728,20 @@ def fixed_policy_table(config, t_policy, j_policy):
 # ---------------------------------------------------------------------------
 # persistence
 
-# states written or read at a time, in whole b_t levels, at least one
+# states written and read at a time, in whole b_t levels, at least one,
+# and bytes read from a table file at a time
 _IO_STATES = 4096
+_READ_STATES = 1024
+_READ_BYTES = 1 << 16
 # a record's body as written and as the checksum's sorted-key text has it
 _BODY = '"strat_t":[{0}],"strat_j":[{1}],{2}'
 _CANONICAL_BODY = '"strat_j":[{1}],"strat_t":[{0}],{2}'
 
 
-def _io_blocks(config):
-    """Blocks (lo, hi, b_t, b_j) of levels lo .. hi-1, with each state's
-    member texts 'X,' and '"b_j":Y,'.
+def _io_blocks(config, states):
+    """Blocks (lo, hi, b_t, b_j) of levels lo .. hi-1, of whole levels of
+    about `states` states, with each state's member texts 'X,' and
+    '"b_j":Y,'.
 
     A states list, [{"b_t":X,"b_j":Y,"strat_t":[T],...},{"b_t":...}], is
     cut before each '"b_t":' into 'X,"b_j":Y,' and a body
@@ -745,7 +749,7 @@ def _io_blocks(config):
     checksum's text puts '"b_j":Y,' before '"b_t":X,'.
     """
     b_j = [f'"b_j":{y},' for y in range(config.b_j0 + 1)]
-    per = max(1, _IO_STATES // len(b_j))
+    per = max(1, states // len(b_j))
     for lo in range(config.k, config.b_t0 + 1, per):
         levels = range(lo, min(lo + per, config.b_t0 + 1))
         b_t = [x for x in map("{},".format, levels) for _ in b_j]
@@ -862,7 +866,7 @@ def export_table(table, path, meta=None):
         fh.write(head[:-1].encode() + b',"states":')
         # a block's closing "},{" goes out before the next one
         sep = b"[{"
-        for lo, hi, b_t, b_j in _io_blocks(table.config):
+        for lo, hi, b_t, b_j in _io_blocks(table.config, _IO_STATES):
             inverse, bodies, canonical_bodies = _encode_block(table, lo, hi)
             key = ['"b_t":'] * len(b_t)
             written = _interleave(key, b_t, b_j, map(bodies.__getitem__, inverse))
@@ -910,62 +914,137 @@ def _table_arrays(config):
     return np.zeros((*grid, config.k + 1)), np.zeros((*grid, 2 * config.k)), np.zeros(grid)
 
 
-def _read_layout(text):
-    """(digest, loaded) read from a table file's text.
+def _pieces(fh, buf):
+    """The text of buf and of the rest of the binary file fh, read
+    _READ_BYTES at a time, in lists of pieces cut before each '"b_t":'
+    (the marker dropped): the first piece is the text before the first
+    marker, the last runs to the end of the file. Each read is decoded as
+    strict UTF-8 up to its last marker, so no character is cut."""
+    lead, scan = True, 1
+    while True:
+        more = fh.read(_READ_BYTES)
+        buf += more
+        cut = buf.rfind(b'"b_t":', scan) if more else len(buf)
+        if cut > 0 or not more:
+            pieces = buf[:cut].decode().split('"b_t":')
+            del buf[:cut]
+            # after the first cut, buf starts at a marker
+            yield pieces if lead else pieces[1:]
+            lead = False
+        if not more:
+            return
+        scan = max(1, len(buf) - 5)
+
+
+def _read_layout(fh):
+    """(digest, loaded) read from a table file open for binary reading,
+    one piece at a time (:func:`_pieces`).
 
     digest is the (checksum, text after it) of the first states list, or
-    None. Blocks that keep to export_table's layout parse each distinct
-    body once; from the first that strays on, the text is hashed piece by
-    piece. loaded is (doc with its states emptied, arrays) if every block
-    keeps to the layout and the checksum checks, else None.
+    None. Blocks of levels that keep to export_table's layout parse each
+    distinct body once (:func:`_read_block`); from the first that strays
+    on, the text is hashed piece by piece (:func:`_hash_pieces`). loaded
+    is (doc with its states emptied, arrays) if every block keeps to the
+    layout and the checksum checks, else None.
     """
-    start = text.find('"states":[') + len('"states":')
-    # records hold no nested objects, so the first "}]" closes the list
-    end = start if text.startswith("[]", start) else text.find("}]", start)
-    if start < len('"states":') or end < 0:
-        return None, None
+    buf, start = bytearray(), -1
+    while start < 0:
+        more = fh.read(_READ_BYTES)
+        if not more:
+            return None, None
+        buf += more
+        start = buf.find(b'"states":[', max(0, len(buf) - len(more) - 9))
+    start += len('"states":')
+    head = buf[:start].decode()
+    room = os.fstat(fh.fileno()).st_size - start
+    del buf[:start]
+    pieces = itertools.chain.from_iterable(_pieces(fh, buf))
+    lead = next(pieces)
     try:
-        doc = json.loads(text[:start] + "[]" + text[end + 2:])
+        # export_table's header closes with the states list
+        config = GameConfig.from_dict(json.loads(head + "[]}")["config"])
+    except (ConfigError, KeyError, TypeError, ValueError):
+        config = None
+    digest = hashlib.sha256()
+    count, arrays = 0, None
+    # the checksum does not cover the config: size no arrays from it
+    # unless the file has room for the '"b_t":' of as many records
+    if config is not None and lead == "[{" and 0 < 6 * _record_count(config) <= room:
+        arrays = _table_arrays(config)
+    for lo, hi, b_t, b_j in _io_blocks(config, _READ_STATES) if arrays is not None else ():
+        block = list(itertools.islice(pieces, len(b_t)))
+        read = _read_block(arrays, lo, hi, b_t, b_j, block, hi > config.b_t0)
+        if read is None:
+            arrays, pieces = None, itertools.chain(block, pieces)
+            break
+        digest.update((lead + read[0]).encode())
+        lead, rest = "", read[1]
+        count += len(block)
+    if arrays is None:
+        hashed = _hash_pieces(digest, lead, pieces)
+        if hashed is None:
+            return None, None
+        count, rest = count + hashed[0], hashed[1]
+    # lines end as reading in text mode ends them, so a copy whose last
+    # newline became "\r\n" still reads as export_table wrote it
+    tail = '"b_t":'.join([rest, *pieces]).replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        doc = json.loads(head + "[]" + tail)
         config = GameConfig.from_dict(doc["config"])
     except (ConfigError, KeyError, TypeError, ValueError):  # not JSON, or no valid config
         return None, None
-    # the checksum does not cover the config: size no arrays from it
-    # unless the list holds as many records as its grid
-    if text.count('"b_t":', start, end) != _record_count(config):
+    # as many records before the list's end as the config's grid holds
+    if count != _record_count(config):
         return None, None
-    arrays = _table_arrays(config)
-    digest = hashlib.sha256()
-    a = start
-    for lo, hi, b_t, b_j in _io_blocks(config):
-        b = end if hi > config.b_t0 else text.find(f'"b_t":{hi},"b_j":0,', a, end)
-        if b < 0:
-            break
-        # the last block ends in "},{" as every other one does
-        lead, *pieces = (text[a:b] + ("},{" if b == end else "")).split('"b_t":')
-        heads = list(map(str.__add__, b_t, b_j))
-        if (lead != ("[{" if a == start else "") or len(pieces) != len(heads)
-                or not all(map(str.startswith, pieces, heads))):
-            break
-        bodies = list(map(str.removeprefix, pieces, heads))
-        index = {body: i for i, body in enumerate(dict.fromkeys(bodies))}
-        members = list(map(_members, index))
-        inverse = list(map(index.__getitem__, bodies))
-        if None in members or not _parse_bodies(arrays, lo, hi, members, inverse):
-            break
-        canonical_bodies = [_CANONICAL_BODY.format(*m) for m in members]
-        canonical = lead + _interleave(b_j, ['"b_t":'] * len(b_t), b_t,
-                                       map(canonical_bodies.__getitem__, inverse))
-        digest.update((canonical[:-3] if b == end else canonical).encode())
-        a = b
-    # an empty list holds no record to read through the layout
-    fast = a == end > start
-    lead, *pieces = text[a:end + 2].split('"b_t":')
-    digest.update((lead + "".join(map(_canonical_piece, pieces))).encode())
-    digest = digest.hexdigest(), text[end + 2:]
-    if fast and doc.get("states") == [] and digest == (doc.get("checksum"),
-                                                      _tail(doc.get("meta"))):
+    digest = digest.hexdigest(), tail
+    if arrays is not None and doc.get("states") == [] and digest == (doc.get("checksum"),
+                                                                     _tail(doc.get("meta"))):
         return digest, (doc, arrays)
     return digest, None
+
+
+def _read_block(arrays, lo, hi, b_t, b_j, pieces, last):
+    """Parse levels lo .. hi-1 from their pieces into arrays; return the
+    checksum's text of the pieces and, for the last block, the text after
+    the list's closing "}]", or None unless they read as export_table
+    writes them."""
+    heads = list(map(str.__add__, b_t, b_j))
+    if len(pieces) != len(heads) or not all(map(str.startswith, pieces, heads)):
+        return None
+    bodies = list(map(str.removeprefix, pieces, heads))
+    rest = None
+    if last:
+        # the list ends at the first "}]", after its last record
+        end = bodies[-1].find("}]")
+        if end < 0:
+            return None
+        bodies[-1], rest = bodies[-1][:end] + "},{", bodies[-1][end + 2:]
+    index = {body: i for i, body in enumerate(dict.fromkeys(bodies))}
+    members = list(map(_members, index))
+    inverse = list(map(index.__getitem__, bodies))
+    if None in members or not _parse_bodies(arrays, lo, hi, members, inverse):
+        return None
+    canonical_bodies = [_CANONICAL_BODY.format(*m) for m in members]
+    canonical = _interleave(b_j, ['"b_t":'] * len(b_t), b_t,
+                            map(canonical_bodies.__getitem__, inverse))
+    return (canonical, None) if rest is None else (canonical[:-3] + "}]", rest)
+
+
+def _hash_pieces(digest, lead, pieces):
+    """Hash the checksum's text of lead and the pieces after it up to the
+    list's first "}]" (or its "[]" at the lead's start); return (pieces
+    passed, text after it), or None if no "}]" comes."""
+    end = 0 if lead.startswith("[]") else lead.find("}]")
+    if end >= 0:
+        digest.update(lead[:end + 2].encode())
+        return 0, lead[end + 2:]
+    digest.update(lead.encode())
+    for count, piece in enumerate(pieces, 1):
+        end = piece.find("}]")
+        digest.update(_canonical_piece(piece if end < 0 else piece[:end + 2]).encode())
+        if end >= 0:
+            return count, piece[end + 2:]
+    return None
 
 
 def _parse_bodies(arrays, lo, hi, members, inverse):
@@ -997,20 +1076,25 @@ def load_table(path):
     probability distributions.
     The loaded table carries deployed strategies and values only.
 
-    A file laid out as export_table writes it is read one block of levels
-    at a time (:func:`_read_layout`); any other file (other record order,
+    A file laid out as export_table writes it is read a piece at a time,
+    never whole, and parsed one block of levels at a time
+    (:func:`_read_layout`); any other file (other record order,
     whitespace, key order or float spelling) is parsed whole, and its
     records are encoded again for the checksum unless the hash of its
     states text settles it. Both ways run the same checks.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        digest, loaded = _read_layout(text)
-        doc, arrays = loaded or (json.loads(text), None)
+        with open(path, "rb") as fh:
+            try:
+                digest, loaded = _read_layout(fh)
+            except UnicodeDecodeError:  # the whole read below names the byte
+                digest = loaded = None
+        if loaded is None:
+            with open(path, encoding="utf-8") as fh:
+                loaded = json.loads(fh.read()), None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TableError(f"{path}: not a valid table file: {exc}") from None
-    del text  # the parsed records take its place
+    doc, arrays = loaded
     if not isinstance(doc, dict) or doc.get("format") != TABLE_FORMAT:
         raise TableError(f"{path}: not a {TABLE_FORMAT} file")
     if doc.get("version") != TABLE_VERSION:
@@ -1056,12 +1140,16 @@ def load_table(path):
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TableError(f"{path}: malformed state record: {exc}") from None
     t_probs, j_probs, values = arrays
+    # levels below k hold zeros; the rest are checked a block at a time,
+    # so no temporary spans the grid
+    per = max(1, _READ_STATES // (config.b_j0 + 1))
+    blocks = [slice(lo, lo + per) for lo in range(k, config.b_t0 + 1, per)]
     for arr, label in ((values, "value"), (t_probs, "strat_t"), (j_probs, "strat_j")):
-        if not np.isfinite(arr).all():
+        if not all(np.isfinite(arr[block]).all() for block in blocks):
             raise TableError(f"{path}: {label} holds NaN or infinity")
     for probs, label in ((t_probs, "strat_t"), (j_probs, "strat_j")):
-        sums = probs[k:, :, :].sum(axis=2)
-        if (probs < 0.0).any() or (np.abs(sums - 1.0) > 1e-9).any():
+        if any((probs[block] < 0.0).any() or (np.abs(probs[block].sum(axis=2) - 1.0) > 1e-9).any()
+               for block in blocks):
             raise TableError(f"{path}: {label} rows are not distributions")
     return StrategyTable(config, t_probs, j_probs, values,
                          horizon_values=None, meta=doc.get("meta"))

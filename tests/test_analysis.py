@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -387,6 +388,37 @@ def test_sensitivity_sweep_draws_play_uniforms_once_per_chunk(mc_tables, monkeyp
     sensitivity_sweep(mc_tables["k4"], spec=spec, seed=5)
     size = uwjam.analysis._CHUNK
     assert chunks == [range(0, size), range(size, 1100)]
+
+
+# at most one frame per block, blocks that cut lifetimes, and one block
+# longer than any game's depth (b_t0 // k is at most 7 here)
+@pytest.mark.parametrize("frames", [1, 3, 64])
+def test_simulate_does_not_depend_on_the_frame_block(mc_tables, monkeypatch, frames):
+    spec = SensitivitySpec(sigmas=(0.0, 0.05, 0.6), runs=1100)
+    cases = [(table, sigma, pair) for table in mc_tables.values()
+             for sigma, pair in ((0.0, None), (0.1, (0.1, 0.8)))]
+    want = [simulate(table, 1100, seed=5, sigma=sigma, error_pair=pair)
+            for table, sigma, pair in cases]
+    sweep = sensitivity_sweep(mc_tables["k4"], spec=spec, seed=5)
+    monkeypatch.setattr(uwjam.analysis, "_FRAMES", frames)
+    assert [simulate(table, 1100, seed=5, sigma=sigma, error_pair=pair)
+            for table, sigma, pair in cases] == want
+    assert sensitivity_sweep(mc_tables["k4"], spec=spec, seed=5) == sweep
+
+
+def test_simulate_memory_is_bounded_by_the_frame_block():
+    # a chunk draws a few frames of uniforms at a time and gathers the
+    # strategy rows it plays, so the peak does not grow with the battery
+    peaks = []
+    for b_t0 in (100, 800):
+        table = solve_full_game(_cfg(k=4, b_t0=b_t0, b_j0=3, horizon=1))
+        tracemalloc.start()
+        try:
+            simulate(table, 1024, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 # ---------------------------------------------------------------------------

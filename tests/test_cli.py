@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import weakref
 
 import pytest
 
@@ -218,6 +219,30 @@ def test_evaluate_sorts_by_distance(tmp_path, scenario, tables_dir):
         assert float(row["lifetime"]) > 0.0
         # closed-form rows carry no Monte Carlo fields
         assert row["sigma"] == "" and row["lifetime_ci"] == ""
+
+
+def test_evaluate_holds_one_table_at_a_time(tmp_path, scenario, tables_dir, monkeypatch):
+    # each table is scored as it loads: no earlier table is alive when
+    # the next load starts, and the rows still come out by distance
+    tables, alive = [], []
+    load = uwjam.solver.load_table
+
+    def spy(path):
+        alive.append(sum(table() is not None for table in tables))
+        table = load(path)
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(uwjam.solver, "load_table", spy)
+    out = tmp_path / "report.csv"
+    names = ["table_djr60m.json", "table_djr50m.json", "table_djr60m.json"]
+    argv = ["evaluate", "--config", scenario, "--out", str(out)]
+    for name in names:
+        argv += ["--table", str(tables_dir / name)]
+    assert main(argv) == 0
+    assert alive == [0, 0, 0]
+    _, _, rows = _read_csv(out.read_text())
+    assert [float(r["distance_m"]) for r in rows] == [50.0, 60.0, 60.0]
 
 
 def test_evaluate_rejects_mismatched_scenario(tmp_path, scenario, tables_dir):

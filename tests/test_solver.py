@@ -1,6 +1,7 @@
 """Matrix-game LP, battery-state dynamic program, table persistence."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -959,7 +960,7 @@ def _edit(field, bad):
     return edit
 
 
-@pytest.mark.parametrize("edit, match", [
+BAD_RECORDS = [
     (_edit("b_t", 9), "outside the grid"),
     (_edit("b_t", 1), "outside the grid"),
     (_edit("b_j", -1), "outside the grid"),
@@ -974,7 +975,10 @@ def _edit(field, bad):
     (_edit("strat_j", 7), "malformed"),
     (lambda s: s[5]["strat_t"].__setitem__(0, [1.0]), "malformed"),
     (lambda s: s.__setitem__(5, [1, 2]), "malformed"),
-])
+]
+
+
+@pytest.mark.parametrize("edit, match", BAD_RECORDS)
 def test_load_rejects_bad_records(tmp_path, small_game, edit, match):
     _, table = small_game
     path = tmp_path / "table.json"
@@ -1211,7 +1215,8 @@ def _read_per_record(path):
     """Whether load_table reads path through export_table's layout, one
     distinct record body at a time, rather than parsing the whole
     document."""
-    return uwjam.solver._read_layout(path.read_text())[1] is not None
+    with open(path, "rb") as fh:
+        return uwjam.solver._read_layout(fh)[1] is not None
 
 
 def _check_round_trip(path, table, meta=None):
@@ -1280,8 +1285,7 @@ def _compact_file(path, table, edit, literals=None, own_checksum=True):
     path.write_text(text.replace(doc["checksum"], checksum))
 
 
-@pytest.mark.parametrize("own_checksum", [True, False], ids=["own-text", "re-encoded"])
-@pytest.mark.parametrize("edit, literals", [
+HAND_MADE = [
     (lambda s: s[5].update(extra=1), None),
     (lambda s: s.__setitem__(5, {"extra": 1, **s[5]}), None),
     (lambda s: s[5]["strat_t"].__setitem__(0, "0.5"), None),
@@ -1302,11 +1306,16 @@ def _compact_file(path, table, edit, literals=None, own_checksum=True):
     # a record the member split does not see, first or in the middle
     _mark("b_t", " 2", 0),
     _mark("b_t", " 2"),
-], ids=["extra-last", "extra-first", "string-entry", "numeric-string-entry", "nested-list",
-        "int-entry", "value-1e400", "value-space", "value-true", "value-nan",
-        "value-int", "b_t-leading-zero", "b_j-float", "strat-empty", "strat-bracket-string",
-        "strat-spanning-string",
-        "spaced-first-record", "spaced-record"])
+]
+
+
+@pytest.mark.parametrize("own_checksum", [True, False], ids=["own-text", "re-encoded"])
+@pytest.mark.parametrize("edit, literals", HAND_MADE, ids=[
+    "extra-last", "extra-first", "string-entry", "numeric-string-entry", "nested-list",
+    "int-entry", "value-1e400", "value-space", "value-true", "value-nan",
+    "value-int", "b_t-leading-zero", "b_j-float", "strat-empty", "strat-bracket-string",
+    "strat-spanning-string",
+    "spaced-first-record", "spaced-record"])
 def test_hand_made_files_load_as_reference(tmp_path, small_game, edit, literals, own_checksum):
     path = tmp_path / "table.json"
     _compact_file(path, small_game[1], edit, literals, own_checksum)
@@ -1385,3 +1394,102 @@ def test_load_rejects_unreadable_files(tmp_path, small_game):
         path.write_text(json.dumps({**doc, "config": config}, separators=(",", ":")) + "\n")
         with pytest.raises(TableError, match=match):
             load_table(path)
+
+
+# ---------------------------------------------------------------------------
+# table reads a piece at a time
+
+
+def _table_files(tmp_path, table):
+    """Files load_table must read alike whatever its piece sizes: table
+    as exported with a non-ASCII meta, cut short, and corrupt or hand-made
+    in the ways the tests above make them, plus an empty states list."""
+    def write(data):
+        path = tmp_path / f"file{len(files)}.json"
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+        files.append(path)
+
+    files = []
+    export = tmp_path / "export.json"
+    export_table(table, export, meta=EXPORT_METAS[1])
+    text = export.read_text()
+    doc = json.loads(text)
+    write(text)
+    # the meta written unescaped, whole and cut inside a character
+    raw = (json.dumps(doc, separators=(",", ":"), ensure_ascii=False) + "\n").encode()
+    write(raw)
+    for cut in (len(raw) // 2, len(raw) - 2, raw.index("水".encode()) + 1):
+        write(raw[:cut])
+    write(text.encode().replace(b'"value":', b'"value":\xff', 1))
+    write(b"\xff\xfe{}")
+    for edit in ({"format": "something-else"}, {"version": 99}, {"config": [1]},
+                 {"config": {**doc["config"], "b_t0": 10 ** 9}}):
+        write(json.dumps({**doc, **edit}, separators=(",", ":")) + "\n")
+    write(text.replace('"value":', '"value":0.123,"x":', 1))
+    write(text[:-2] + ',"states":[]}\n')
+    for edit, _ in BAD_RECORDS:
+        states = json.loads(text)
+        edit(states["states"])
+        write(json.dumps(_resum(states), separators=(",", ":")) + "\n")
+    for (edit, literals), own_checksum in itertools.product(HAND_MADE, (True, False)):
+        _compact_file(export, table, edit, literals, own_checksum)
+        write(export.read_text())
+    empty = GameConfig(k=3, b_t0=2, b_j0=3, alpha=0.4, p_clear=0.1, p_blocked=0.7, horizon=4)
+    export_table(solve_full_game(empty), export)
+    write(export.read_text())
+    return files
+
+
+def _outcome(path):
+    """What load_table makes of path: its message, or the loaded table's
+    config, meta and array bytes."""
+    try:
+        table = load_table(path)
+    except TableError as exc:
+        return str(exc)
+    return (table.config, table.meta,
+            *(getattr(table, name).tobytes() for name in ("values", "t_probs", "j_probs")))
+
+
+# one level (7 states) or the whole table per block; reads of one byte,
+# of a few bytes that cut records and characters, or of a record or two
+@pytest.mark.parametrize("states, size", [(1, 1), (1, 7), (10 ** 9, 1), (10 ** 9, 7),
+                                          (40, 100), (10 ** 9, 1 << 16)])
+def test_load_does_not_depend_on_the_piece(tmp_path, small_game, states, size, monkeypatch):
+    files = _table_files(tmp_path, small_game[1])
+    want = [_outcome(path) for path in files]
+    assert sum(isinstance(got, str) for got in want) > len(files) // 2
+    monkeypatch.setattr(uwjam.solver, "_READ_STATES", states)
+    monkeypatch.setattr(uwjam.solver, "_READ_BYTES", size)
+    assert _read_per_record(files[0])
+    assert [_outcome(path) for path in files] == want
+
+
+def test_load_memory_is_bounded_by_the_piece(tmp_path):
+    # a load reads and parses one piece of the file at a time, so its
+    # peak above the arrays it returns does not grow with the table
+    peaks = []
+    for b_t0 in (100, 400):
+        cfg = game_config_for(ScenarioConfig(horizon=1, b_t0=b_t0), 60.0)
+        export_table(solve_full_game(cfg), tmp_path / "table.json", meta={"d_jr": 60.0})
+        tracemalloc.start()
+        try:
+            table = load_table(tmp_path / "table.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - sum(a.nbytes for a in (table.values, table.t_probs, table.j_probs)))
+    assert peaks[1] < 1.5 * peaks[0]
+
+
+def test_load_reads_a_crlf_copy_through_the_layout(tmp_path, small_game, monkeypatch):
+    # a copy whose final newline became "\r\n" reads as a text-mode read
+    # would see it: one distinct record at a time, checksum from its text
+    path = tmp_path / "table.json"
+    export_table(small_game[1], path, meta={"d_jr": 60.0})
+    path.write_bytes(path.read_bytes()[:-1] + b"\r\n")
+    assert _read_per_record(path)
+    _spy_checksum(monkeypatch, fail=True)
+    loaded = load_table(path)
+    for name in ("values", "t_probs", "j_probs"):
+        assert getattr(loaded, name).tobytes() == getattr(small_game[1], name).tobytes()
