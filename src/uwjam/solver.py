@@ -17,7 +17,7 @@ more than 2k gamma quanta within gamma frames, so the gamma-frame values
 repeat at every b_t >= 2k gamma and those levels copy the level below
 instead of solving again. A frame costs at least k quanta, so the k
 levels qk .. qk+k-1 depend only on levels below qk and are solved as
-one block, in one batch of stage games with all 2k jam counts
+one block, in batches of whole lookahead depths with all 2k jam counts
 (:func:`solve_full_game`). Many of a block's games repeat a neighbour's
 bytes: continuation values often stop changing in b_t or b_j, and the
 jammer cannot spend more than gamma(2k-1) quanta within gamma frames, so
@@ -249,6 +249,8 @@ _SIMPLEX_MAX_ITER = 5000
 # instances pivoted together: a chunk's tableau stays in cache between
 # rounds, which outweighs the per-round overhead of more, smaller loops
 _SIMPLEX_CHUNK = 1024
+# stage games built and solved at a time, in whole lookahead depths
+_GROUP_GAMES = 4 * _SIMPLEX_CHUNK
 
 
 def _minimax_batch(matrices):
@@ -292,7 +294,7 @@ def _minimax_batch(matrices):
     absent = M[:, 0] == np.inf
     D[:, m, :n] = ~absent
     np.copyto(D[:, :m, :n], 0.0, where=absent[:, None])
-    basis = np.tile(np.arange(n, n + m), (batch, 1))
+    basis = np.repeat(np.arange(n, n + m)[None], batch, axis=0)
     for start in range(0, batch, _SIMPLEX_CHUNK):
         chunk = slice(start, start + _SIMPLEX_CHUNK)
         _pivot_to_optimum(D[chunk], basis[chunk])
@@ -523,22 +525,27 @@ def _levels(k, b_t0):
         yield lo, hi, m, np.where(alive, succ_bt, k), alive
 
 
-def _next_values(grid, k, safe_bt, alive):
+def _next_values(grid, k, safe_bt, alive, out=None):
     """Entries of grid (..., b_t, b_j) at every successor of a level block.
 
-    :returns: array (..., levels, b_j, m, 2k) holding, for each state of
-        the block, the entry after sending n_t = k + i packets and
-        jamming n_j = j slots. Jam counts above b_j read b_j' = 0; a jammer cannot
-        afford them, so they must carry zero probability
-        (:func:`solve_full_game` overwrites those entries with +inf).
-        Successors where the game has ended read 0.
+    :returns: array (..., levels, b_j, m, 2k), or out filled with it,
+        holding for each state of the block the entry after sending
+        n_t = k + i packets and jamming n_j = j slots. Jam counts above b_j
+        read b_j' = 0; a jammer cannot afford them, so they must carry
+        zero probability (:func:`solve_full_game` overwrites those entries
+        with +inf). Successors where the game has ended read 0.
     """
-    succ_bj = np.clip(np.arange(grid.shape[-1])[:, None] - np.arange(2 * k), 0, None)
-    # rows, then columns: cheaper than one gather over four index arrays
-    rows = grid[..., safe_bt, :]
-    rows[..., ~alive, :] = 0.0
-    # in C order, as einsum's summation order may follow the strides
-    return np.ascontiguousarray(np.take(rows, succ_bj, axis=-1).swapaxes(-3, -2))
+    (levels, m), n_bj, n = safe_bt.shape, grid.shape[-1], 2 * k
+    # one gather at b_t' * n_bj + b_j' in C order, as einsum's summation
+    # order may follow the strides; the index adds over a long last axis
+    # (m * 2k), and "clip" writes out directly where "raise" buffers it
+    succ_bj = np.maximum(np.arange(n_bj)[:, None] - np.arange(m * n) % n, 0)
+    index = np.repeat(safe_bt * n_bj, n, axis=1)[:, None, :] + succ_bj
+    out = np.take(grid.reshape(*grid.shape[:-2], -1), index.reshape(levels, n_bj, m, n),
+                  axis=-1, out=out, mode="clip")
+    for level, sent in zip(*np.nonzero(~alive)):
+        out[..., level, :, sent, :] = 0.0
+    return out
 
 
 def _store(horizon_values, values, rows, cols, by_depth, first=1):
@@ -563,13 +570,13 @@ def solve_full_game(config):
     Iterates b_t upward (frames strictly drain the transmitter) in blocks
     of up to k levels that depend only on levels below the block (see
     :func:`_levels`). A block's stage games, laid out (depths, levels,
-    b_j, m, 2k), read their successors through :func:`_next_values` and
-    go to the simplex as one batch; a jam count above b_j, which the
-    jammer cannot afford, is an all-+inf column (see
-    :func:`_minimax_batch`) and gets probability 0. The deployed strategy
-    and value at a state are those of the receding-horizon matrix, the
-    deepest of its block; horizon values for all shallower gamma are
-    stored alongside.
+    b_j, m, 2k), read their successors through :func:`_next_values` into
+    one reused buffer and go to the simplex in even groups of whole depths
+    of about _GROUP_GAMES games; a jam count above b_j, which the jammer
+    cannot afford, is an all-+inf column (see :func:`_minimax_batch`) and
+    gets probability 0. The deployed strategy and value at a state are
+    those of the receding-horizon matrix, the deepest of its block;
+    horizon values for all shallower gamma are stored alongside.
 
     The transmitter cannot spend more than 2k gamma quanta within gamma
     frames, so the gamma-frame games at every b_t >= 2k gamma are those
@@ -582,7 +589,8 @@ def solve_full_game(config):
     jammer's spending cap gamma(2k-1) does. :func:`_solve_stage_batch`
     pivots only the first of such repeats and hands its solution to the
     rest; every game still gets the result a solve of its own bytes
-    gives.
+    gives. Repeats lie within a depth, and a group holds over a chunk if
+    its block does, so grouping changes neither results nor repeats found.
     """
     k = config.k
     b_t0, b_j0 = config.b_t0, config.b_j0
@@ -593,6 +601,9 @@ def solve_full_game(config):
     t_probs, j_probs, values = _table_arrays(config)
     # a jam count above b_j is one the jammer cannot afford
     unaffordable = np.arange(b_j0 + 1)[:, None] < np.arange(2 * k)
+    # one buffer for every group: at most _GROUP_GAMES games and a depth
+    per_depth = k * (b_j0 + 1)
+    buf = np.empty(min(_GROUP_GAMES + per_depth, g_store * per_depth) * (k + 1) * 2 * k)
     for lo, hi, m, safe_bt, alive in _levels(k, b_t0):
         levels = hi - lo
         depth = min(g_store, lo // k)
@@ -605,15 +616,23 @@ def solve_full_game(config):
             t_probs[lo:hi] = t_probs[lo - 1]
             j_probs[lo:hi] = j_probs[lo - 1]
             continue
-        stage = _next_values(horizon_values[low:depth], k, safe_bt, alive)
-        stage *= lam
-        stage += base[:m]
-        np.copyto(stage, np.inf, where=unaffordable[:, None, :])
-        vals, rows, cols = _solve_stage_batch(stage)
-        shape = (depth - low, levels, b_j0 + 1)
-        _store(horizon_values, values, slice(lo, hi), slice(None), vals.reshape(shape), low + 1)
-        t_probs[lo:hi, :, :m] = rows.reshape(*shape, m)[-1]
-        j_probs[lo:hi] = cols.reshape(*shape, 2 * k)[-1]
+        shape = (levels, b_j0 + 1, m, 2 * k)
+        # even groups of whole depths, each above a chunk if the block is
+        groups = min(depth - low, -(-(depth - low) * levels * (b_j0 + 1) // _GROUP_GAMES))
+        solved = []
+        for g in range(groups):
+            start, stop = low + (depth - low) * g // groups, low + (depth - low) * (g + 1) // groups
+            stage = _next_values(horizon_values[start:stop], k, safe_bt, alive,
+                                 buf[:(stop - start) * math.prod(shape)].reshape(-1, *shape))
+            stage *= lam
+            stage += base[:m]
+            np.copyto(stage, np.inf, where=unaffordable[:, None, :])
+            vals, rows, cols = _solve_stage_batch(stage)
+            solved.append(vals)
+        _store(horizon_values, values, slice(lo, hi), slice(None),
+               np.concatenate(solved).reshape(-1, *shape[:2]), low + 1)
+        t_probs[lo:hi, :, :m] = rows.reshape(-1, *shape[:3])[-1]
+        j_probs[lo:hi] = cols.reshape(-1, *shape[:2], 2 * k)[-1]
     return StrategyTable(config, t_probs, j_probs, values, horizon_values)
 
 
@@ -728,10 +747,9 @@ def fixed_policy_table(config, t_policy, j_policy):
 # ---------------------------------------------------------------------------
 # persistence
 
-# states written and read at a time, in whole b_t levels, at least one,
-# and bytes read from a table file at a time
-_IO_STATES = 4096
-_READ_STATES = 1024
+# states written, read and checked at a time, in whole b_t levels, at
+# least one, and bytes read from a table file at a time
+_IO_STATES = 1024
 _READ_BYTES = 1 << 16
 # a record's body as written and as the checksum's sorted-key text has it
 _BODY = '"strat_t":[{0}],"strat_j":[{1}],{2}'
@@ -908,10 +926,10 @@ def _record_count(config):
     return max(0, config.b_t0 - config.k + 1) * (config.b_j0 + 1)
 
 
-def _table_arrays(config):
-    """Zero (t_probs, j_probs, values) over a config's battery grid."""
+def _table_arrays(config, zeros=np.zeros):
+    """Zero (t_probs, j_probs, values) over a config's grid, by zeros(shape)."""
     grid = (config.b_t0 + 1, config.b_j0 + 1)
-    return np.zeros((*grid, config.k + 1)), np.zeros((*grid, 2 * config.k)), np.zeros(grid)
+    return zeros((*grid, config.k + 1)), zeros((*grid, 2 * config.k)), zeros(grid)
 
 
 def _pieces(fh, buf):
@@ -971,7 +989,7 @@ def _read_layout(fh):
     # unless the file has room for the '"b_t":' of as many records
     if config is not None and lead == "[{" and 0 < 6 * _record_count(config) <= room:
         arrays = _table_arrays(config)
-    for lo, hi, b_t, b_j in _io_blocks(config, _READ_STATES) if arrays is not None else ():
+    for lo, hi, b_t, b_j in _io_blocks(config, _IO_STATES) if arrays is not None else ():
         block = list(itertools.islice(pieces, len(b_t)))
         read = _read_block(arrays, lo, hi, b_t, b_j, block, hi > config.b_t0)
         if read is None:
@@ -1121,7 +1139,9 @@ def load_table(path):
         try:
             if len(states) != expected:
                 raise TableError(f"{path}: {len(states)} states, expected {expected}")
-            arrays = _table_arrays(config)
+            # no playable state: views of one 0.0, so the header sizes nothing
+            arrays = _table_arrays(config, np.zeros if expected else
+                                   lambda shape: np.broadcast_to(0.0, shape))
             if expected:
                 # one array per record field, checked and written whole
                 b_t, b_j, *records = ([rec[name] for rec in states] for name in (
@@ -1142,7 +1162,7 @@ def load_table(path):
     t_probs, j_probs, values = arrays
     # levels below k hold zeros; the rest are checked a block at a time,
     # so no temporary spans the grid
-    per = max(1, _READ_STATES // (config.b_j0 + 1))
+    per = max(1, _IO_STATES // (config.b_j0 + 1))
     blocks = [slice(lo, lo + per) for lo in range(k, config.b_t0 + 1, per)]
     for arr, label in ((values, "value"), (t_probs, "strat_t"), (j_probs, "strat_j")):
         if not all(np.isfinite(arr[block]).all() for block in blocks):

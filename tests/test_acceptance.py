@@ -181,3 +181,6 @@ def test_criterion_9_solve_time_and_reproducibility(criterion, solved, tmp_path)
         digest_a = hashlib.sha256(path_a.read_bytes()).hexdigest()
         digest_b = hashlib.sha256(path_b.read_bytes()).hexdigest()
         assert digest_a == digest_b
+        # the gamma = 30 bytes, pinned: they move only when the solver's
+        # output moves
+        assert digest_a == "9961c18c028332ddf2832fb47642d5f4757973ad610568e52f92c0868edc8621"

@@ -1,5 +1,6 @@
 """Matrix-game LP, battery-state dynamic program, table persistence."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -692,6 +693,55 @@ def test_neighbour_repeats_keep_the_solve_bit_equal(cfg, monkeypatch):
         assert getattr(repeats, name).tobytes() == getattr(whole, name).tobytes(), name
 
 
+# blocks of up to 16 lookahead depths of 404 games each: more than one
+# depth group, each over one kernel chunk
+GROUPED = GameConfig(k=4, b_t0=100, b_j0=100, alpha=0.4, p_clear=0.02, p_blocked=0.6,
+                     horizon=30)
+
+
+def test_depth_groups_keep_the_solve_bit_equal(monkeypatch):
+    sent = []
+    real = uwjam.solver._minimax_batch
+
+    def counting(matrices):
+        sent.append(len(matrices))
+        return real(matrices)
+
+    monkeypatch.setattr(uwjam.solver, "_minimax_batch", counting)
+    grouped = solve_full_game(GROUPED)
+    calls, instances = len(sent), sum(sent)
+    tables = []
+    # one depth per group, then each block in one group
+    for games in (1, 10 ** 9):
+        monkeypatch.setattr(uwjam.solver, "_GROUP_GAMES", games)
+        sent.clear()
+        tables.append(solve_full_game(GROUPED))
+    # each block in one group, as before depth groups: the same 49,953
+    # instances in fewer kernel calls
+    assert sum(sent) == instances == 49953 and len(sent) < calls
+    for table in tables:
+        for name in ("horizon_values", "t_probs", "j_probs", "values"):
+            assert getattr(table, name).tobytes() == getattr(grouped, name).tobytes(), name
+
+
+def test_solve_memory_does_not_grow_with_the_grid():
+    # stage games are built and pivoted a few lookahead depths at a time,
+    # so a solve's working memory beyond the arrays it returns stays about
+    # the same from 100 x 100 to 200 x 200 quanta
+    peaks = []
+    for quanta in (100, 200):
+        cfg = dataclasses.replace(GROUPED, b_t0=quanta, b_j0=quanta)
+        tracemalloc.start()
+        try:
+            table = solve_full_game(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - sum(getattr(table, name).nbytes for name in (
+            "horizon_values", "t_probs", "j_probs", "values")))
+    assert peaks[1] < 1.3 * peaks[0]
+
+
 def test_table_state_bounds_checks(small_game):
     _, table = small_game
     with pytest.raises(ValueError):
@@ -1007,6 +1057,33 @@ def test_load_counts_records_before_sizing_the_grid(tmp_path, small_game, field,
     path.write_text(text if indent is None else json.dumps(json.loads(text), indent=indent))
     with pytest.raises(TableError, match="states, expected"):
         load_table(path)
+
+
+@pytest.mark.parametrize("field", ["k", "b_j0"])
+def test_load_sizes_nothing_from_a_table_without_records(tmp_path, field):
+    # a grid with no playable state lists no records, so its header can
+    # claim any size: such a table loads as zeros without allocating them
+    cfg = GameConfig(k=2, b_t0=1, b_j0=3, alpha=0.4, p_clear=0.1, p_blocked=0.7, horizon=4)
+    path = tmp_path / "table.json"
+    export_table(solve_full_game(cfg), path, meta={"d_jr": 60.0})
+    text = path.read_text()
+    old = f'"{field}":{getattr(cfg, field)},'
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, f'"{field}":1000000000,'))
+    tracemalloc.start()
+    try:
+        table = load_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert getattr(table.config, field) == 10 ** 9 and table.n_states == 0
+    for name in ("values", "t_probs", "j_probs"):
+        got = getattr(table, name)
+        assert got.shape[:2] == (2, table.config.b_j0 + 1)
+        # a corner of at most 3 entries per axis: the whole is 10^9 wide
+        corner = got[tuple(slice(3) for _ in got.shape)]
+        assert (corner == 0.0).all() and not np.signbit(corner).any()
 
 
 def test_load_ignores_record_order(tmp_path, small_game):
@@ -1459,7 +1536,7 @@ def test_load_does_not_depend_on_the_piece(tmp_path, small_game, states, size, m
     files = _table_files(tmp_path, small_game[1])
     want = [_outcome(path) for path in files]
     assert sum(isinstance(got, str) for got in want) > len(files) // 2
-    monkeypatch.setattr(uwjam.solver, "_READ_STATES", states)
+    monkeypatch.setattr(uwjam.solver, "_IO_STATES", states)
     monkeypatch.setattr(uwjam.solver, "_READ_BYTES", size)
     assert _read_per_record(files[0])
     assert [_outcome(path) for path in files] == want
