@@ -18,9 +18,8 @@ from .channel import (AcousticEnvironment, EmpiricalPerTable, LinkBudget,
                       noise_psd, per_coded, per_uncoded)
 from .errors import ConfigError, SolverError, TableError
 from .solver import (GameConfig, GameState, MixedStrategy, StrategyTable,
-                     action_sets, export_table, fixed_policy_table,
-                     is_terminal, load_table, solve_full_game,
-                     solve_matrix_game, solve_vs_fixed_jammer)
+                     action_sets, export_table, is_terminal, load_table,
+                     solve_full_game, solve_matrix_game, solve_vs_fixed_jammer)
 from .subgame import (SubgameParams, blocked_count_distribution,
                       expected_success, payoff_matrix, subgame_payoff,
                       success_given_blocked, success_matrix)

@@ -18,16 +18,16 @@ repeat at every b_t >= 2k gamma and those levels copy the level below
 instead of solving again. A frame costs at least k quanta, so the k
 levels qk .. qk+k-1 depend only on levels below qk and are solved as
 one block, in batches of whole lookahead depths with all 2k jam counts
-(:func:`solve_full_game`). Many of a block's games repeat a neighbour's
+(:func:`_walk`). Many of a block's games repeat a neighbour's
 bytes: continuation values often stop changing in b_t or b_j, and the
 jammer cannot spend more than gamma(2k-1) quanta within gamma frames, so
 every b_j above that cap repeats the game at b_j - 1. Such a game takes
 the solution of the same game one level down or at b_j - 1 instead of
 being pivoted again (:func:`_solve_stage_batch`). The transmitter's best
-response to a fixed jammer, the values of fixed play and the lifetime
-and success recursions of :mod:`uwjam.analysis` walk the same level
-blocks and read successors through the same gather (:func:`_levels`,
-:func:`_next_values`).
+response to the dummy jammer takes the same walk over level blocks and
+depth groups (:func:`_walk`), and the lifetime and success recursions of
+:mod:`uwjam.analysis` walk the same level blocks and read successors
+through the same gather (:func:`_levels`, :func:`_next_values`).
 
 Matrix games are solved as linear programs with a dense tableau simplex,
 batched over states: value = 1/max(1'q) with (M + shift) q <= 1, q >= 0.
@@ -69,7 +69,6 @@ __all__ = [
     "solve_matrix_game",
     "solve_full_game",
     "solve_vs_fixed_jammer",
-    "fixed_policy_table",
     "export_table",
     "load_table",
 ]
@@ -455,8 +454,7 @@ class StrategyTable:
 
     @property
     def n_states(self):
-        playable = self.config.b_t0 - self.config.k + 1
-        return max(0, playable) * (self.config.b_j0 + 1)
+        return _record_count(self.config)
 
     def _check(self, state):
         if is_terminal(state, self.config.k):
@@ -564,43 +562,36 @@ def _store(horizon_values, values, rows, cols, by_depth, first=1):
     values[rows, cols] = horizon_values[depth, rows, cols]
 
 
-def solve_full_game(config):
-    """Backward-induction equilibrium over the whole battery grid.
+def _walk(config, arrays, step):
+    """Receding-horizon values over the whole battery grid, level block by
+    level block.
 
     Iterates b_t upward (frames strictly drain the transmitter) in blocks
     of up to k levels that depend only on levels below the block (see
     :func:`_levels`). A block's stage games, laid out (depths, levels,
     b_j, m, 2k), read their successors through :func:`_next_values` into
-    one reused buffer and go to the simplex in even groups of whole depths
-    of about _GROUP_GAMES games; a jam count above b_j, which the jammer
-    cannot afford, is an all-+inf column (see :func:`_minimax_batch`) and
-    gets probability 0. The deployed strategy and value at a state are
-    those of the receding-horizon matrix, the deepest of its block;
-    horizon values for all shallower gamma are stored alongside.
+    one reused buffer, in even groups of whole depths of about
+    _GROUP_GAMES games. step(pt, pj, stage) takes a group's games with the
+    block's send probabilities pt (levels, b_j, m) and jam probabilities
+    pj (levels, b_j, 2k) and returns their values (depths, levels, b_j);
+    it may fill pt and pj in place, and the last group, the deepest, has
+    the last word. Horizon values for every gamma go through :func:`_store`.
 
     The transmitter cannot spend more than 2k gamma quanta within gamma
-    frames, so the gamma-frame games at every b_t >= 2k gamma are those
-    of b_t = 2k gamma: a block copies such depths from the level below it
-    and solves only the deeper ones. Where that covers the deployed depth
-    as well, the block copies the level below whole.
+    frames, so where play does not depend on b_t the gamma-frame games at
+    every b_t >= 2k gamma are those of b_t = 2k gamma: a block copies such
+    depths from the level below it and steps through only the deeper ones.
+    Where that covers the deployed depth as well, the block copies the
+    level below whole.
 
-    Within a block, a game may equal, byte for byte, the same (gamma,
-    b_j) game one level down or the game at b_j - 1; every b_j above the
-    jammer's spending cap gamma(2k-1) does. :func:`_solve_stage_batch`
-    pivots only the first of such repeats and hands its solution to the
-    rest; every game still gets the result a solve of its own bytes
-    gives. Repeats lie within a depth, and a group holds over a chunk if
-    its block does, so grouping changes neither results nor repeats found.
+    :param arrays: (t_probs, j_probs, values) of the returned table
     """
     k = config.k
     b_t0, b_j0 = config.b_t0, config.b_j0
-    lam = config.discount
     base = payoff_matrix(config.subgame)
     g_store = config.effective_horizon()
     horizon_values = np.zeros((g_store + 1, b_t0 + 1, b_j0 + 1))
-    t_probs, j_probs, values = _table_arrays(config)
-    # a jam count above b_j is one the jammer cannot afford
-    unaffordable = np.arange(b_j0 + 1)[:, None] < np.arange(2 * k)
+    t_probs, j_probs, values = arrays
     # one buffer for every group: at most _GROUP_GAMES games and a depth
     per_depth = k * (b_j0 + 1)
     buf = np.empty(min(_GROUP_GAMES + per_depth, g_store * per_depth) * (k + 1) * 2 * k)
@@ -624,124 +615,74 @@ def solve_full_game(config):
             start, stop = low + (depth - low) * g // groups, low + (depth - low) * (g + 1) // groups
             stage = _next_values(horizon_values[start:stop], k, safe_bt, alive,
                                  buf[:(stop - start) * math.prod(shape)].reshape(-1, *shape))
-            stage *= lam
+            stage *= config.discount
             stage += base[:m]
-            np.copyto(stage, np.inf, where=unaffordable[:, None, :])
-            vals, rows, cols = _solve_stage_batch(stage)
-            solved.append(vals)
-        _store(horizon_values, values, slice(lo, hi), slice(None),
-               np.concatenate(solved).reshape(-1, *shape[:2]), low + 1)
-        t_probs[lo:hi, :, :m] = rows.reshape(-1, *shape[:3])[-1]
-        j_probs[lo:hi] = cols.reshape(-1, *shape[:2], 2 * k)[-1]
+            solved.append(step(t_probs[lo:hi, :, :m], j_probs[lo:hi], stage))
+        _store(horizon_values, values, slice(lo, hi), slice(None), np.concatenate(solved), low + 1)
     return StrategyTable(config, t_probs, j_probs, values, horizon_values)
 
 
-def _policy_probs(config, policy, jammer):
-    """Dense probabilities of a policy over the battery grid.
+def _equilibrium(pt, pj, stage):
+    """Solve a group's stage games; a jam count above b_j, which the
+    jammer cannot afford, becomes an all-+inf column (see
+    :func:`_minimax_batch`) and gets probability 0. The deepest depth's
+    strategies land in pt and pj."""
+    n_bj, n = stage.shape[2], stage.shape[4]
+    np.copyto(stage, np.inf, where=(np.arange(n_bj)[:, None] < np.arange(n))[:, None, :])
+    vals, rows, cols = _solve_stage_batch(stage)
+    pt[...] = rows.reshape(stage.shape[:4])[-1]
+    pj[...] = cols.reshape(*stage.shape[:3], n)[-1]
+    return vals.reshape(stage.shape[:3])
 
-    :param policy: callable state -> action or MixedStrategy, called at
-        every non-terminal state
-    :param jammer: True for jam counts 0 .. min(2k-1, b_j), laid out as
-        StrategyTable.j_probs; False for packet counts k .. min(2k, b_t),
-        laid out as t_probs
-    :raises ValueError: on an action that is illegal at its state
+
+def solve_full_game(config):
+    """Backward-induction equilibrium over the whole battery grid.
+
+    Walks the level blocks and depth groups of :func:`_walk`, solving each
+    group's stage games as matrix games (:func:`_equilibrium`). The
+    deployed strategy and value at a state are those of the
+    receding-horizon matrix, the deepest of its block; horizon values for
+    all shallower gamma are stored alongside. Equilibrium play depends on
+    b_t only through the stage games, so the levels at b_t >= 2k gamma
+    copy the level below.
+
+    Within a block, a game may equal, byte for byte, the same (gamma,
+    b_j) game one level down or the game at b_j - 1; every b_j above the
+    jammer's spending cap gamma(2k-1) does. :func:`_solve_stage_batch`
+    pivots only the first of such repeats and hands its solution to the
+    rest; every game still gets the result a solve of its own bytes
+    gives. Repeats lie within a depth, and a group holds over a chunk if
+    its block does, so grouping changes neither results nor repeats found.
     """
-    k = config.k
-    first = 0 if jammer else k
-    cells, acts, probs = [], [], []
-    for b_t in range(k, config.b_t0 + 1):
-        for b_j in range(config.b_j0 + 1):
-            choice = policy(GameState(b_t, b_j))
-            if isinstance(choice, MixedStrategy):
-                cells += [(b_t, b_j)] * len(choice.support)
-                acts += choice.support
-                probs += choice.probs
-            else:
-                cells.append((b_t, b_j))
-                acts.append(choice)
-                probs.append(1.0)
-    b_t, b_j = np.array(cells, dtype=int).reshape(-1, 2).T
-    at = np.array(acts, dtype=float) - first
-    illegal = (at < 0) | (at >= _widths(k, b_t, b_j)[jammer]) | (at != np.floor(at))
-    if illegal.any():
-        i = illegal.argmax()
-        raise ValueError(f"illegal action {acts[i]:g} at {GameState(int(b_t[i]), int(b_j[i]))}")
-    out = np.zeros((config.b_t0 + 1, config.b_j0 + 1, 2 * k if jammer else k + 1))
-    out[b_t, b_j, at.astype(int)] = probs
-    return out
+    return _walk(config, _table_arrays(config), _equilibrium)
 
 
 def _best_response(pt, pj, stage):
     """Values of the transmitter's best reply to the jam probabilities;
     ties go to the fewest packets, which favours battery life. Marks the
-    reply at the deepest lookahead in pt."""
+    reply at the group's deepest lookahead in pt."""
     q = np.einsum('lbj,glbij->glbi', pj, stage)
     best = q.argmax(axis=3)                     # first max: lowest n_t
+    pt[...] = 0.0
     np.put_along_axis(pt, best[-1, :, :, None], 1.0, axis=2)
     return np.take_along_axis(q, best[..., None], axis=3)[..., 0]
 
 
-def _expectation(pt, pj, stage):
-    """Expected stage payoff of the given send and jam probabilities."""
-    return np.einsum('lbi,lbj,glbij->glb', pt, pj, stage)
+def solve_vs_fixed_jammer(config):
+    """Transmitter best response to the dummy jammer, which jams
+    min(k + 1, 2k - 1, b_j) slots at every state.
 
-
-def _policy_sweep(config, t_probs, j_probs, rule):
-    """Receding-horizon values of play against fixed jam probabilities.
-
-    Walks the solver's level blocks. rule(pt, pj, stage) takes a block's
-    send probabilities pt (levels, b_j, m), jam probabilities
-    pj (levels, b_j, 2k) and stage matrices (depth, levels, b_j, m, 2k)
-    for lookahead depths 1 .. depth, and returns the values
-    (depth, levels, b_j); it may fill pt in place.
+    The transmitter maximizes the same receding-horizon objective over the
+    walk of :func:`_walk` (:func:`_best_response`); ties break toward the
+    smallest packet count, which favours battery life. The jammer's play
+    does not depend on b_t, so the levels at b_t >= 2k gamma copy the
+    level below as in :func:`solve_full_game`.
     """
     k = config.k
-    base = payoff_matrix(config.subgame)
-    g_store = config.effective_horizon()
-    horizon_values = np.zeros((g_store + 1, config.b_t0 + 1, config.b_j0 + 1))
-    values = np.zeros((config.b_t0 + 1, config.b_j0 + 1))
-    for lo, hi, m, safe_bt, alive in _levels(k, config.b_t0):
-        depth = min(g_store, lo // k)
-        cont = _next_values(horizon_values[:depth], k, safe_bt, alive)
-        stage = base[:m] + config.discount * cont
-        _store(horizon_values, values, slice(lo, hi), slice(None),
-               rule(t_probs[lo:hi, :, :m], j_probs[lo:hi], stage))
-    return StrategyTable(config, t_probs, j_probs, values, horizon_values)
-
-
-def solve_vs_fixed_jammer(config, jammer_policy=None):
-    """Transmitter best response against a known jammer policy.
-
-    :param jammer_policy: callable state -> n_j or MixedStrategy;
-        defaults to the dummy jammer that always spends k + 1 quanta
-
-    The transmitter maximizes the same receding-horizon objective; ties
-    break toward the smallest packet count, which favours battery life.
-    """
-    k = config.k
-    t_probs = np.zeros((config.b_t0 + 1, config.b_j0 + 1, k + 1))
-    if jammer_policy is None:
-        # the dummy jammer jams min(k + 1, 2k - 1, b_j) slots at every state
-        b_j = np.arange(config.b_j0 + 1)
-        j_probs = np.zeros((config.b_t0 + 1, b_j.size, 2 * k))
-        j_probs[k:, b_j, np.minimum(min(k + 1, 2 * k - 1), b_j)] = 1.0
-    else:
-        j_probs = _policy_probs(config, jammer_policy, jammer=True)
-    return _policy_sweep(config, t_probs, j_probs, _best_response)
-
-
-def fixed_policy_table(config, t_policy, j_policy):
-    """Table for externally imposed policies, for baselines and what-ifs.
-
-    :param t_policy: callable state -> n_t or MixedStrategy
-    :param j_policy: callable state -> n_j or MixedStrategy
-
-    Values are the receding-horizon expected payoffs of the given play,
-    found by policy evaluation over the same level order as the solver.
-    """
-    t_probs = _policy_probs(config, t_policy, jammer=False)
-    j_probs = _policy_probs(config, j_policy, jammer=True)
-    return _policy_sweep(config, t_probs, j_probs, _expectation)
+    t_probs, j_probs, values = _table_arrays(config)
+    b_j = np.arange(config.b_j0 + 1)
+    j_probs[k:, b_j, np.minimum(min(k + 1, 2 * k - 1), b_j)] = 1.0
+    return _walk(config, (t_probs, j_probs, values), _best_response)
 
 
 # ---------------------------------------------------------------------------

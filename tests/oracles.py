@@ -31,7 +31,8 @@ import re
 import numpy as np
 
 from uwjam.errors import TableError
-from uwjam.solver import TABLE_FORMAT, TABLE_VERSION, GameConfig, StrategyTable
+from uwjam.solver import (TABLE_FORMAT, TABLE_VERSION, GameConfig, MixedStrategy,
+                          StrategyTable)
 
 
 def marcum_q1_reference(a, b, dps=50):
@@ -275,23 +276,24 @@ def backward_induction_reference(config):
     return horizon_values, t_probs, j_probs, values
 
 
-def fixed_play_reference(config, j_policy, t_policy=None):
-    """Receding-horizon values of play against a fixed jammer, one state
-    and lookahead depth at a time.
+def _dense(choice, actions):
+    """Probabilities of an action or MixedStrategy over the legal actions."""
+    if isinstance(choice, MixedStrategy):
+        return [choice.prob_of(a) for a in actions]
+    return [float(a == choice) for a in actions]
 
-    With t_policy the transmitter's play x is fixed too and a depth's
-    value is x M y for the state's stage matrix M and jam probabilities
-    y. Without it the transmitter plays the best row of M y, ties going
-    to the lowest n_t.
+
+def fixed_play_reference(config, j_policy):
+    """Receding-horizon values of the transmitter's best reply to a fixed
+    jammer, one state and lookahead depth at a time.
+
+    At each depth the transmitter plays the best row of M y for the
+    state's stage matrix M and jam probabilities y, ties going to the
+    lowest n_t.
 
     :returns: (horizon_values, t_probs) laid out as in StrategyTable
     """
-    from uwjam.solver import GameState, MixedStrategy, action_sets
-
-    def dense(choice, actions):
-        if isinstance(choice, MixedStrategy):
-            return np.array([choice.prob_of(a) for a in actions])
-        return np.array([float(a == choice) for a in actions])
+    from uwjam.solver import GameState, action_sets
 
     k = config.k
     g_store = config.effective_horizon()
@@ -303,21 +305,40 @@ def fixed_play_reference(config, j_policy, t_policy=None):
         for b_j in range(config.b_j0 + 1):
             state = GameState(b_t, b_j)
             n_ts, n_js = action_sets(state, k)
-            y = dense(j_policy(state), n_js)
+            y = _dense(j_policy(state), n_js)
             for g in range(1, depth + 1):
                 mat = build_payoff_matrix(
                     state, config,
                     continuation=lambda s: horizon_values[g - 1, s.b_t, s.b_j])
                 rows = mat @ y
-                if t_policy is None:
-                    x = np.zeros(len(n_ts))
-                    x[int(np.argmax(rows))] = 1.0
-                else:
-                    x = dense(t_policy(state), n_ts)
+                x = np.zeros(len(n_ts))
+                x[int(np.argmax(rows))] = 1.0
                 horizon_values[g, b_t, b_j] = x @ rows
             horizon_values[depth + 1:, b_t, b_j] = horizon_values[depth, b_t, b_j]
             t_probs[b_t, b_j, : x.size] = x
     return horizon_values, t_probs
+
+
+def forced_play_table(config, t_policy, j_policy):
+    """Table of imposed play: each policy (callable state -> action or
+    MixedStrategy) called once per non-terminal state. It carries the
+    probabilities only; its values are all 0.
+    """
+    from uwjam.solver import GameState
+
+    k = config.k
+    shape = (config.b_t0 + 1, config.b_j0 + 1)
+    t_probs = np.zeros(shape + (k + 1,))
+    j_probs = np.zeros(shape + (2 * k,))
+    # the legal actions, as action_sets lists them
+    n_js = [range(min(2 * k - 1, b_j) + 1) for b_j in range(config.b_j0 + 1)]
+    for b_t in range(k, config.b_t0 + 1):
+        n_ts = range(k, min(2 * k, b_t) + 1)
+        for b_j in range(config.b_j0 + 1):
+            state = GameState(b_t, b_j)
+            t_probs[b_t, b_j, : len(n_ts)] = _dense(t_policy(state), n_ts)
+            j_probs[b_t, b_j, : len(n_js[b_j])] = _dense(j_policy(state), n_js[b_j])
+    return StrategyTable(config, t_probs, j_probs, np.zeros(shape))
 
 
 def next_values_reference(grid, k, safe_bt, alive):

@@ -26,7 +26,6 @@ from uwjam.solver import (
     GameState,
     action_sets,
     export_table,
-    fixed_policy_table,
     solve_full_game,
 )
 from uwjam.subgame import blocked_count_distribution
@@ -69,9 +68,9 @@ def test_criterion_1_lifetime_bounds(criterion):
                 assert 25.0 - tol <= life <= 50.0 + tol, (d, alpha, life)
         # forced pure policies hit the extremes exactly
         cfg = game_config_for(SCENARIO.replace(horizon=1), 60.0)
-        slow = fixed_policy_table(cfg, lambda s: 4, lambda s: 0)
+        slow = oracles.forced_play_table(cfg, lambda s: 4, lambda s: 0)
         assert expected_lifetime(slow) == 50.0
-        fast = fixed_policy_table(cfg, lambda s: min(8, s.b_t), lambda s: 0)
+        fast = oracles.forced_play_table(cfg, lambda s: min(8, s.b_t), lambda s: 0)
         assert expected_lifetime(fast) == 25.0
 
 

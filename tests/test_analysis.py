@@ -33,12 +33,11 @@ from uwjam.solver import (
     GameState,
     MixedStrategy,
     StrategyTable,
-    fixed_policy_table,
     solve_full_game,
 )
 from uwjam.subgame import expected_success
 
-from oracles import simulate_reference, t975_reference
+from oracles import forced_play_table, simulate_reference, t975_reference
 
 
 def _cfg(**over):
@@ -59,22 +58,22 @@ def ne_table():
 
 def test_lifetime_pure_minimum_send():
     cfg = _cfg(k=4, b_t0=200, b_j0=200, horizon=1)
-    table = fixed_policy_table(cfg, lambda s: 4, lambda s: 0)
+    table = forced_play_table(cfg, lambda s: 4, lambda s: 0)
     assert expected_lifetime(table) == 50.0
     # min() keeps the policy legal at off-path low-battery states
-    table = fixed_policy_table(cfg, lambda s: min(8, s.b_t), lambda s: 0)
+    table = forced_play_table(cfg, lambda s: min(8, s.b_t), lambda s: 0)
     assert expected_lifetime(table) == 25.0
 
 
 def test_lifetime_hand_check_mixed():
     # from b_t=5 (k=2): pure n_t=2 lasts 2 frames
     cfg = _cfg(b_t0=5, b_j0=0)
-    pure = fixed_policy_table(cfg, lambda s: 2, lambda s: 0)
+    pure = forced_play_table(cfg, lambda s: 2, lambda s: 0)
     assert expected_lifetime(pure) == 2.0
     # half the time n_t=4 ends the game after one frame: E = .5*2 + .5*1
     mix = MixedStrategy((2, 4), (0.5, 0.5))
-    mixed = fixed_policy_table(cfg, lambda s: mix if s.b_t == 5 else 2,
-                               lambda s: 0)
+    mixed = forced_play_table(cfg, lambda s: mix if s.b_t == 5 else 2,
+                              lambda s: 0)
     assert expected_lifetime(mixed) == pytest.approx(1.5, abs=1e-12)
     assert expected_lifetime(mixed, GameState(3, 0)) == 1.0
 
@@ -82,7 +81,7 @@ def test_lifetime_hand_check_mixed():
 def test_success_hand_check():
     # deterministic two-frame game, each frame wins with 0.7^2
     cfg = _cfg(b_t0=4, b_j0=0, p_clear=0.3)
-    table = fixed_policy_table(cfg, lambda s: 2, lambda s: 0)
+    table = forced_play_table(cfg, lambda s: 2, lambda s: 0)
     chi = expected_success(cfg.subgame, 2, 0)
     assert chi == pytest.approx(0.49, abs=1e-15)
     assert success_probability(table) == pytest.approx(chi, abs=1e-12)
@@ -152,7 +151,7 @@ def test_simulate_deterministic(ne_table):
 
 def test_simulate_pure_game_exact():
     cfg = _cfg(b_t0=8, b_j0=8)
-    table = fixed_policy_table(cfg, lambda s: 2, lambda s: 0)
+    table = forced_play_table(cfg, lambda s: 2, lambda s: 0)
     res = simulate(table, runs=64, seed=1)
     assert res.mean_lifetime == 4.0
     assert res.lifetime_ci == 0.0
@@ -317,10 +316,10 @@ _MC_TABLES = {
     "per00": lambda: solve_full_game(_cfg(p_clear=0.0, p_blocked=0.0)),
     "per01": lambda: solve_full_game(_cfg(p_clear=0.0, p_blocked=1.0)),
     "per11": lambda: solve_full_game(_cfg(p_clear=1.0, p_blocked=1.0)),
-    "pure": lambda: fixed_policy_table(_cfg(b_t0=13), lambda s: min(3, s.b_t),
-                                       lambda s: min(1, s.b_j)),
-    "quarters": lambda: fixed_policy_table(_cfg(b_t0=14, b_j0=8, p_clear=0.25, p_blocked=0.75),
-                                           _quarter_play, _quarter_jam),
+    "pure": lambda: forced_play_table(_cfg(b_t0=13), lambda s: min(3, s.b_t),
+                                      lambda s: min(1, s.b_j)),
+    "quarters": lambda: forced_play_table(_cfg(b_t0=14, b_j0=8, p_clear=0.25, p_blocked=0.75),
+                                          _quarter_play, _quarter_jam),
 }
 
 

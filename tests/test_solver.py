@@ -21,7 +21,6 @@ from uwjam.solver import (
     MixedStrategy,
     action_sets,
     export_table,
-    fixed_policy_table,
     is_terminal,
     load_table,
     solve_full_game,
@@ -751,7 +750,7 @@ def test_table_state_bounds_checks(small_game):
 
 
 # ---------------------------------------------------------------------------
-# fixed and dummy policies
+# the dummy jammer baseline
 
 
 def test_solve_vs_fixed_jammer(small_game):
@@ -770,57 +769,6 @@ def test_solve_vs_fixed_jammer(small_game):
     assert table.value(s0) >= ne_table.value(s0) - 1e-12
 
 
-def test_fixed_jammer_rejects_illegal_policy():
-    cfg = GameConfig(k=2, b_t0=8, b_j0=6, alpha=0.4,
-                     p_clear=0.1, p_blocked=0.7, horizon=3)
-    with pytest.raises(ValueError):
-        solve_vs_fixed_jammer(cfg, jammer_policy=lambda s: 5)
-
-
-def test_fixed_policy_table_pure_play():
-    cfg = GameConfig(k=2, b_t0=8, b_j0=8, alpha=0.4,
-                     p_clear=0.1, p_blocked=0.7, horizon=3)
-    table = fixed_policy_table(cfg, lambda s: 2, lambda s: 0)
-    # deterministic play: exactly 3 frames of u(2, 0) remain from (8, 8)
-    u = subgame_payoff(cfg.subgame, 2, 0)
-    assert table.value(GameState(8, 8)) == pytest.approx(3 * u, abs=1e-12)
-    assert table.value(GameState(5, 8)) == pytest.approx(2 * u, abs=1e-12)
-    assert table.strategy_t(GameState(8, 8)).prob_of(2) == 1.0
-
-
-def test_fixed_policy_table_mixed_play():
-    cfg = GameConfig(k=2, b_t0=4, b_j0=2, alpha=0.4,
-                     p_clear=0.1, p_blocked=0.7, horizon=3)
-    mix = MixedStrategy((2, 3), (0.5, 0.5))
-    table = fixed_policy_table(cfg, lambda s: mix if s.b_t >= 4 else 2,
-                               lambda s: 0)
-    u2 = subgame_payoff(cfg.subgame, 2, 0)
-    u3 = subgame_payoff(cfg.subgame, 3, 0)
-    # n_t=2 leaves one more frame, n_t=3 ends the game
-    want = 0.5 * (u2 + u2) + 0.5 * u3
-    assert table.value(GameState(4, 2)) == pytest.approx(want, abs=1e-12)
-
-
-def test_fixed_policy_table_rejects_illegal_action():
-    cfg = GameConfig(k=2, b_t0=4, b_j0=2, alpha=0.4,
-                     p_clear=0.1, p_blocked=0.7, horizon=3)
-    with pytest.raises(ValueError):
-        fixed_policy_table(cfg, lambda s: 7, lambda s: 0)
-    with pytest.raises(ValueError):
-        fixed_policy_table(cfg, lambda s: 2, lambda s: 3)
-
-
-def _mixed_sends(state):
-    sends = tuple(range(2, min(4, state.b_t) + 1))          # k = 2
-    weights = np.arange(1.0, len(sends) + 1.0)
-    return MixedStrategy(sends, tuple(weights / weights.sum()))
-
-
-def _mixed_jams(state):
-    jams = tuple(range(min(3, state.b_j) + 1))
-    return MixedStrategy(jams, (1.0 / len(jams),) * len(jams))
-
-
 def _cfg(k, b_t0, b_j0, **over):
     base = dict(alpha=0.4, p_clear=0.1, p_blocked=0.7, horizon=4)
     base.update(over)
@@ -830,52 +778,57 @@ def _cfg(k, b_t0, b_j0, **over):
 INF = dict(horizon=math.inf, discount=0.9)
 
 
-# (config, jammer policy, transmitter policy or None for the best response)
-@pytest.mark.parametrize("cfg, j_policy, t_policy", [
-    pytest.param(_cfg(1, 7, 3, horizon=3), lambda s: min(1, s.b_j), None,
-                 id="k1-best-response"),
-    pytest.param(_cfg(1, 7, 3, horizon=3), lambda s: min(1, s.b_j),
-                 lambda s: 1 if s.b_t % 2 else min(2, s.b_t), id="k1-fixed"),
-    pytest.param(_cfg(2, 11, 0, alpha=0.5, p_clear=0.0, p_blocked=1.0), lambda s: 0, None,
-                 id="bj0-best-response"),
-    pytest.param(_cfg(2, 11, 7), lambda s: min(3, s.b_j), None, id="k2-best-response"),
-    pytest.param(_cfg(2, 11, 7), _mixed_jams, _mixed_sends, id="k2-mixed"),
-    pytest.param(_cfg(3, 13, 8, p_clear=0.05, p_blocked=0.6, **INF), lambda s: min(4, s.b_j),
-                 None, id="inf-best-response"),
-    pytest.param(_cfg(2, 11, 7, p_clear=0.05, p_blocked=0.6, **INF), _mixed_jams,
-                 _mixed_sends, id="inf-mixed"),
-])
-def test_policy_sweep_matches_per_state_reference(cfg, j_policy, t_policy):
-    if t_policy is None:
-        table = solve_vs_fixed_jammer(cfg, j_policy)
-    else:
-        table = fixed_policy_table(cfg, t_policy, j_policy)
-    want_hv, want_t = oracles.fixed_play_reference(cfg, j_policy, t_policy)
+def _assert_dummy_best_response(cfg):
+    # the walk's arrays against the per-state oracle, which calls the
+    # dummy jammer's policy at every state
+    k = cfg.k
+
+    def dummy(state):
+        return min(k + 1, 2 * k - 1, state.b_j)
+
+    table = solve_vs_fixed_jammer(cfg)
+    want_hv, want_t = oracles.fixed_play_reference(cfg, dummy)
     np.testing.assert_allclose(table.horizon_values, want_hv, rtol=0, atol=1e-12)
     np.testing.assert_allclose(table.values, want_hv[-1], rtol=0, atol=1e-12)
     # the best response is the reference's first maximal row exactly
     np.testing.assert_array_equal(table.t_probs, want_t)
+    np.testing.assert_array_equal(table.j_probs,
+                                  oracles.forced_play_table(cfg, lambda s: k, dummy).j_probs)
 
 
-def test_best_response_to_mixed_jammer():
-    # rounding may split exact ties between rows against a mixed jammer,
-    # so only the values are compared; they show each reply is a best row
-    cfg = _cfg(2, 11, 7)
-    table = solve_vs_fixed_jammer(cfg, _mixed_jams)
-    want_hv, _ = oracles.fixed_play_reference(cfg, _mixed_jams)
-    np.testing.assert_allclose(table.horizon_values, want_hv, rtol=0, atol=1e-12)
-    assert (table.t_probs[cfg.k:].max(axis=2) == 1.0).all()
+@pytest.mark.parametrize("cfg", [
+    pytest.param(_cfg(1, 7, 3, horizon=3), id="k1-best-response"),
+    pytest.param(_cfg(2, 11, 0, alpha=0.5, p_clear=0.0, p_blocked=1.0), id="bj0-best-response"),
+    pytest.param(_cfg(2, 11, 7), id="k2-best-response"),
+    pytest.param(_cfg(3, 13, 8, p_clear=0.05, p_blocked=0.6, **INF), id="inf-best-response"),
+    # b_t0 well above 2k gamma = 8: levels from b_t = 9 up copy the level
+    # below, and the oracle solves each of them
+    pytest.param(_cfg(2, 20, 9, horizon=2), id="capped-best-response"),
+])
+def test_policy_sweep_matches_per_state_reference(cfg):
+    _assert_dummy_best_response(cfg)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("b_t0, b_j0", [(13, 0), (13, 1), (13, 30), (0, 30)])
 def test_dummy_jammer_array_equals_policy_calls(k, b_t0, b_j0):
     # b_t0 = 0 < k: no state is playable
-    cfg = _cfg(k, b_t0, b_j0)
-    got = solve_vs_fixed_jammer(cfg)
-    want = solve_vs_fixed_jammer(cfg, lambda s: min(k + 1, 2 * k - 1, s.b_j))
-    for name in ("t_probs", "j_probs", "values", "horizon_values"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    _assert_dummy_best_response(_cfg(k, b_t0, b_j0))
+
+
+def test_best_response_memory_does_not_grow_with_the_grid():
+    # the best response takes the solve's walk, a few lookahead depths
+    # at a time in one reused buffer, so its working memory beyond the
+    # arrays it returns stays small at 200 x 200 quanta
+    tracemalloc.start()
+    try:
+        table = solve_vs_fixed_jammer(dataclasses.replace(GROUPED, b_t0=200, b_j0=200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    peak -= sum(getattr(table, name).nbytes for name in (
+        "horizon_values", "t_probs", "j_probs", "values"))
+    assert peak <= 8 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
