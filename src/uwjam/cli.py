@@ -293,16 +293,6 @@ def _cmd_per_sweep(args):
     return 0
 
 
-def _solve_one(game_cfg, distances):
-    t0 = time.perf_counter()
-    table = solver.solve_full_game(game_cfg)
-    elapsed = time.perf_counter() - t0
-    label = ", ".join(f"{d:g}" for d in distances)
-    _log(f"solved d_jr={label} m: {table.n_states} states in {elapsed:.1f}s, "
-         f"initial value {table.value(game_cfg.initial_state):.6f}")
-    return table
-
-
 def _cmd_solve(args):
     cfg = _load_scenario(args)
     if args.sweep_all:
@@ -316,25 +306,28 @@ def _cmd_solve(args):
                 raise ConfigError(f"sweep distances {other!r} and {d!r} "
                                   f"both write table_djr{d:g}m.json")
         os.makedirs(args.out_dir, exist_ok=True)
-        # distances whose PER pairs coincide play the same game: solve it
-        # once, one table in memory at a time
-        sweep = {}
-        for d in cfg.sweep:
-            sweep.setdefault(game_config_for(cfg, d), []).append(d)
-        for game_cfg, distances in sweep.items():
-            table = _solve_one(game_cfg, distances)
-            for d in distances:
-                path = os.path.join(args.out_dir, f"table_djr{d:g}m.json")
-                solver.export_table(table, path, meta={"d_jr": d, "per_mode": cfg.per_mode})
-                _log(f"wrote {path}")
-        return 0
-    if cfg.d_jr is None:
-        raise ConfigError("no jammer distance: pass --d-jr or set d_jr in the config")
-    if args.out is None:
-        raise ConfigError("solve requires --out (or --sweep with --out-dir)")
-    table = _solve_one(game_config_for(cfg, cfg.d_jr), [cfg.d_jr])
-    solver.export_table(table, args.out, meta={"d_jr": cfg.d_jr, "per_mode": cfg.per_mode})
-    _log(f"wrote {args.out}")
+        outputs = [(d, os.path.join(args.out_dir, f"table_djr{d:g}m.json")) for d in cfg.sweep]
+    else:
+        if cfg.d_jr is None:
+            raise ConfigError("no jammer distance: pass --d-jr or set d_jr in the config")
+        if args.out is None:
+            raise ConfigError("solve requires --out (or --sweep with --out-dir)")
+        outputs = [(cfg.d_jr, args.out)]
+    # distances whose PER pairs coincide play the same game: solve it
+    # once, one table in memory at a time
+    games = {}
+    for d, path in outputs:
+        games.setdefault(game_config_for(cfg, d), []).append((d, path))
+    for game_cfg, group in games.items():
+        t0 = time.perf_counter()
+        table = solver.solve_full_game(game_cfg)
+        elapsed = time.perf_counter() - t0
+        label = ", ".join(f"{d:g}" for d, _ in group)
+        _log(f"solved d_jr={label} m: {table.n_states} states in {elapsed:.1f}s, "
+             f"initial value {table.value(game_cfg.initial_state):.6f}")
+        for d, path in group:
+            solver.export_table(table, path, meta={"d_jr": d, "per_mode": cfg.per_mode})
+            _log(f"wrote {path}")
     return 0
 
 

@@ -896,21 +896,16 @@ def _pieces(fh, buf):
 
 
 def _read_layout(fh):
-    """(digest, loaded) read from a table file open for binary reading,
-    one piece at a time (:func:`_pieces`).
-
-    digest is the (checksum, text after it) of the first states list, or
-    None. Blocks of levels that keep to export_table's layout parse each
-    distinct body once (:func:`_read_block`); from the first that strays
-    on, the text is hashed piece by piece (:func:`_hash_pieces`). loaded
-    is (doc with its states emptied, arrays) if every block keeps to the
-    layout and the checksum checks, else None.
-    """
+    """(doc with its states emptied, arrays) read from a table file open
+    for binary reading, one piece at a time (:func:`_pieces`), or None
+    unless it keeps to export_table's layout and its checksum checks.
+    Each block of levels parses each distinct body once (:func:`_read_block`);
+    nothing past the first block that strays is read."""
     buf, start = bytearray(), -1
     while start < 0:
         more = fh.read(_READ_BYTES)
         if not more:
-            return None, None
+            return None
         buf += more
         start = buf.find(b'"states":[', max(0, len(buf) - len(more) - 9))
     start += len('"states":')
@@ -918,48 +913,32 @@ def _read_layout(fh):
     room = os.fstat(fh.fileno()).st_size - start
     del buf[:start]
     pieces = itertools.chain.from_iterable(_pieces(fh, buf))
-    lead = next(pieces)
     try:
         # export_table's header closes with the states list
         config = GameConfig.from_dict(json.loads(head + "[]}")["config"])
     except (ConfigError, KeyError, TypeError, ValueError):
-        config = None
-    digest = hashlib.sha256()
-    count, arrays = 0, None
+        return None
     # the checksum does not cover the config: size no arrays from it
     # unless the file has room for the '"b_t":' of as many records
-    if config is not None and lead == "[{" and 0 < 6 * _record_count(config) <= room:
-        arrays = _table_arrays(config)
-    for lo, hi, b_t, b_j in _io_blocks(config, _IO_STATES) if arrays is not None else ():
+    if next(pieces) != "[{" or not 0 < 6 * _record_count(config) <= room:
+        return None
+    arrays, digest = _table_arrays(config), hashlib.sha256(b"[{")
+    for lo, hi, b_t, b_j in _io_blocks(config, _IO_STATES):
         block = list(itertools.islice(pieces, len(b_t)))
         read = _read_block(arrays, lo, hi, b_t, b_j, block, hi > config.b_t0)
         if read is None:
-            arrays, pieces = None, itertools.chain(block, pieces)
-            break
-        digest.update((lead + read[0]).encode())
-        lead, rest = "", read[1]
-        count += len(block)
-    if arrays is None:
-        hashed = _hash_pieces(digest, lead, pieces)
-        if hashed is None:
-            return None, None
-        count, rest = count + hashed[0], hashed[1]
-    # lines end as reading in text mode ends them, so a copy whose last
-    # newline became "\r\n" still reads as export_table wrote it
-    tail = '"b_t":'.join([rest, *pieces]).replace("\r\n", "\n").replace("\r", "\n")
+            return None
+        digest.update(read[0].encode())
+    # the last block closed the list and the tail holds no second config
+    # or states key; lines end as reading in text mode ends them, so a
+    # copy whose last newline became "\r\n" still reads as written
+    tail = '"b_t":'.join([read[1], *pieces]).replace("\r\n", "\n").replace("\r", "\n")
     try:
         doc = json.loads(head + "[]" + tail)
-        config = GameConfig.from_dict(doc["config"])
-    except (ConfigError, KeyError, TypeError, ValueError):  # not JSON, or no valid config
-        return None, None
-    # as many records before the list's end as the config's grid holds
-    if count != _record_count(config):
-        return None, None
-    digest = digest.hexdigest(), tail
-    if arrays is not None and doc.get("states") == [] and digest == (doc.get("checksum"),
-                                                                     _tail(doc.get("meta"))):
-        return digest, (doc, arrays)
-    return digest, None
+    except ValueError:  # not JSON
+        return None
+    ok = (doc.get("checksum"), tail) == (digest.hexdigest(), _tail(doc.get("meta")))
+    return (doc, arrays) if ok else None
 
 
 def _read_block(arrays, lo, hi, b_t, b_j, pieces, last):
@@ -989,23 +968,6 @@ def _read_block(arrays, lo, hi, b_t, b_j, pieces, last):
     return (canonical, None) if rest is None else (canonical[:-3] + "}]", rest)
 
 
-def _hash_pieces(digest, lead, pieces):
-    """Hash the checksum's text of lead and the pieces after it up to the
-    list's first "}]" (or its "[]" at the lead's start); return (pieces
-    passed, text after it), or None if no "}]" comes."""
-    end = 0 if lead.startswith("[]") else lead.find("}]")
-    if end >= 0:
-        digest.update(lead[:end + 2].encode())
-        return 0, lead[end + 2:]
-    digest.update(lead.encode())
-    for count, piece in enumerate(pieces, 1):
-        end = piece.find("}]")
-        digest.update(_canonical_piece(piece if end < 0 else piece[:end + 2]).encode())
-        if end >= 0:
-            return count, piece[end + 2:]
-    return None
-
-
 def _parse_bodies(arrays, lo, hi, members, inverse):
     """Parse the distinct bodies of levels lo .. hi-1 from their (T, J,
     rest) members into arrays, state i taking body inverse[i]; False
@@ -1026,6 +988,25 @@ def _parse_bodies(arrays, lo, hi, members, inverse):
     return _fill(arrays, b_t, b_j, *parsed, np.array(inverse)) is None
 
 
+def _text_digest(text):
+    """(checksum, text after it) of the first states list in a table
+    file's text, each record's text hashed as :func:`_canonical_piece`
+    rewrites it, or None where no states list or no end of it is found."""
+    start = text.find('"states":[')
+    if start < 0:
+        return None
+    start += len('"states":')
+    # records hold no nested objects, so the first "}]" closes the list
+    end = start if text.startswith("[]", start) else text.find("}]", start)
+    if end < 0:
+        return None
+    lead, *pieces = text[start:end + 2].split('"b_t":')
+    digest = hashlib.sha256(lead.encode())
+    for piece in pieces:
+        digest.update(_canonical_piece(piece).encode())
+    return digest.hexdigest(), text[end + 2:]
+
+
 def load_table(path):
     """Load a table written by :func:`export_table`.
 
@@ -1037,20 +1018,24 @@ def load_table(path):
 
     A file laid out as export_table writes it is read a piece at a time,
     never whole, and parsed one block of levels at a time
-    (:func:`_read_layout`); any other file (other record order,
-    whitespace, key order or float spelling) is parsed whole, and its
-    records are encoded again for the checksum unless the hash of its
-    states text settles it. Both ways run the same checks.
+    (:func:`_read_layout`). Any other file (other record order,
+    whitespace, key order or float spelling) leaves that reader at its
+    first stray block and is read again, once and whole: the hash of its
+    own states text (:func:`_text_digest`) settles the checksum, or else
+    its records are encoded again. Both ways run the same checks.
     """
     try:
         with open(path, "rb") as fh:
             try:
-                digest, loaded = _read_layout(fh)
+                loaded = _read_layout(fh)
             except UnicodeDecodeError:  # the whole read below names the byte
-                digest = loaded = None
+                loaded = None
         if loaded is None:
             with open(path, encoding="utf-8") as fh:
-                loaded = json.loads(fh.read()), None
+                text = fh.read()
+            digest = _text_digest(text)
+            loaded = json.loads(text), None
+            del text  # the parsed records take its place
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TableError(f"{path}: not a valid table file: {exc}") from None
     doc, arrays = loaded

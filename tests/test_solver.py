@@ -1204,6 +1204,7 @@ def test_load_falls_back_on_other_layouts(tmp_path, small_game, rewrite, monkeyp
     assert loaded.meta == {"d_jr": 60.0}
     for name in ("values", "t_probs", "j_probs"):
         assert getattr(loaded, name).tobytes() == getattr(table, name).tobytes()
+    assert _loads_as_reference(path)
 
 
 def test_load_reads_the_states_key_the_parser_keeps(tmp_path, small_game):
@@ -1227,7 +1228,10 @@ def test_load_reads_the_states_key_the_parser_keeps(tmp_path, small_game):
 
 def _loads_as_reference(path):
     """Whether oracles.load_reference accepts path; load_table must agree,
-    with bit-equal arrays and equal config and meta."""
+    with bit-equal arrays and equal config and meta. The checksum
+    load_table reads from a whole file's own text is the oracle's too."""
+    text = path.read_text(encoding="utf-8")
+    assert uwjam.solver._text_digest(text) == oracles._file_digest(text)
     try:
         want = oracles.load_reference(path)
     except TableError:
@@ -1246,7 +1250,7 @@ def _read_per_record(path):
     distinct record body at a time, rather than parsing the whole
     document."""
     with open(path, "rb") as fh:
-        return uwjam.solver._read_layout(fh)[1] is not None
+        return uwjam.solver._read_layout(fh) is not None
 
 
 def _check_round_trip(path, table, meta=None):
@@ -1495,6 +1499,25 @@ def test_load_does_not_depend_on_the_piece(tmp_path, small_game, states, size, m
     assert [_outcome(path) for path in files] == want
 
 
+def test_layout_reader_stops_at_the_first_stray_block(tmp_path, monkeypatch):
+    # records in reverse order: the first block strays at its first
+    # record, so the piece reader gives up there and the whole-document
+    # reader loads the file
+    cfg = game_config_for(ScenarioConfig(horizon=1, b_t0=60, b_j0=60), 60.0)
+    table = solve_full_game(cfg)
+    assert table.n_states > 2 * uwjam.solver._IO_STATES
+    path = tmp_path / "table.json"
+    export_table(table, path)
+    doc = json.loads(path.read_text())
+    doc["states"].reverse()
+    path.write_text(json.dumps(_resum(doc), separators=(",", ":")) + "\n")
+    monkeypatch.setattr(uwjam.solver, "_READ_BYTES", 256)
+    with open(path, "rb") as fh:
+        assert uwjam.solver._read_layout(fh) is None
+        assert fh.tell() < path.stat().st_size // 2
+    assert _loads_as_reference(path)
+
+
 def test_load_memory_is_bounded_by_the_piece(tmp_path):
     # a load reads and parses one piece of the file at a time, so its
     # peak above the arrays it returns does not grow with the table
@@ -1523,3 +1546,17 @@ def test_load_reads_a_crlf_copy_through_the_layout(tmp_path, small_game, monkeyp
     loaded = load_table(path)
     for name in ("values", "t_probs", "j_probs"):
         assert getattr(loaded, name).tobytes() == getattr(small_game[1], name).tobytes()
+
+
+def test_load_hashes_a_crlf_file_as_text_mode_reads_it(tmp_path, small_game):
+    # one record a line, lines ending "\r\n", and the checksum of the
+    # file's own text as a text-mode read sees it: the whole-document
+    # reader hashes the text it read, so the file loads as the reference
+    # loads it
+    path = tmp_path / "table.json"
+    export_table(small_game[1], path)
+    text = path.read_text().replace("},{", "},\n{")
+    text = text.replace(json.loads(text)["checksum"], oracles._file_digest(text)[0])
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    assert not _read_per_record(path)
+    assert _loads_as_reference(path)
