@@ -45,7 +45,6 @@ for bit.
 """
 
 import contextlib
-import hashlib
 import itertools
 import json
 import math
@@ -404,15 +403,15 @@ def solve_matrix_game(matrix):
         probability arrays over the rows and columns
 
     Neither player gains more than rounding by a pure deviation on well
-    conditioned games: the worst gap over every stage game the
-    full-scale solves pivot (200 x 200 quanta, k = 4, gamma = 30 and 1,
-    every lookahead depth) is 1.6e-12 at jammer distances of 20, 60 and
-    150 m, and 8.0e-15 over 486 games with PERs of 0 or 1. It does not
-    hold for near-degenerate games (ROADMAP item 1): at 30 m, whose
-    blocked PER is 1 - 1.0e-9, the worst gap is 1.0e-5, and at 40 m it
-    reaches 1.9e-9. Ties between equilibria resolve deterministically
-    through the fixed pivoting rule, so repeated calls return identical
-    arrays.
+    conditioned games: the worst gap over every stage game the full-scale
+    solves pivot (200 x 200 quanta, k = 4, gamma = 30 and 1, every
+    lookahead depth) is 1.6e-12 at jammer distances of 20, 60 and 150 m,
+    and 8.0e-15 over 486 games with PERs of 0 or 1. It does not hold for
+    near-degenerate games (ROADMAP item 1): at full scale the tables
+    solved at every integer distance from 26 to 39 m fail to load, and the
+    worst deployed gap is 0.63, at 33 m. Ties between equilibria resolve
+    deterministically through the fixed pivoting rule, so repeated calls
+    return identical arrays.
 
     :raises ValueError: unless the matrix is 2-D, nonempty and finite
     """
@@ -770,9 +769,16 @@ def _encode_block(table, lo, hi):
             list(map(_CANONICAL_BODY.format, *members)))
 
 
+def _sha256(data=b""):
+    # imported here: hashlib maps OpenSSL, which only table files need
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
 def _checksum(states_payload):
     canonical = json.dumps(states_payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _sha256(canonical.encode()).hexdigest()
 
 
 def _tail(meta):
@@ -820,7 +826,7 @@ def export_table(table, path, meta=None):
                        "config": table.config.to_dict(), "checksum": "0" * 64},
                       separators=(",", ":"))
     tail = _tail(table.meta if meta is None else meta).encode()
-    digest = hashlib.sha256()
+    digest = _sha256()
     with _replacing(path, "xb") as fh:
         fh.write(head[:-1].encode() + b',"states":')
         # a block's closing "},{" goes out before the next one
@@ -899,8 +905,9 @@ def _read_layout(fh):
     """(doc with its states emptied, arrays) read from a table file open
     for binary reading, one piece at a time (:func:`_pieces`), or None
     unless it keeps to export_table's layout and its checksum checks.
-    Each block of levels parses each distinct body once (:func:`_read_block`);
-    nothing past the first block that strays is read."""
+    Each block of levels parses each distinct body once (:func:`_read_block`)
+    and is read past its first record only where that record reads as
+    written; nothing past the first block that strays is read."""
     buf, start = bytearray(), -1
     while start < 0:
         more = fh.read(_READ_BYTES)
@@ -922,9 +929,12 @@ def _read_layout(fh):
     # unless the file has room for the '"b_t":' of as many records
     if next(pieces) != "[{" or not 0 < 6 * _record_count(config) <= room:
         return None
-    arrays, digest = _table_arrays(config), hashlib.sha256(b"[{")
+    arrays, digest = _table_arrays(config), _sha256(b"[{")
     for lo, hi, b_t, b_j in _io_blocks(config, _IO_STATES):
-        block = list(itertools.islice(pieces, len(b_t)))
+        first = next(pieces, "")
+        if not first.startswith(b_t[0] + b_j[0]):
+            return None
+        block = [first, *itertools.islice(pieces, len(b_t) - 1)]
         read = _read_block(arrays, lo, hi, b_t, b_j, block, hi > config.b_t0)
         if read is None:
             return None
@@ -1001,7 +1011,7 @@ def _text_digest(text):
     if end < 0:
         return None
     lead, *pieces = text[start:end + 2].split('"b_t":')
-    digest = hashlib.sha256(lead.encode())
+    digest = _sha256(lead.encode())
     for piece in pieces:
         digest.update(_canonical_piece(piece).encode())
     return digest.hexdigest(), text[end + 2:]

@@ -270,11 +270,18 @@ def test_import_keeps_scipy_out():
     # scipy.stats costs ~1.4 s and ~70 MB at import, and nothing in the
     # package needs it: the interval quantile is computed in-package, and
     # only that computation imports decimal. Likewise numpy.random
-    # (~10 ms), which only the simulator needs; numpy before 2.0 imports
-    # it with numpy itself
+    # (~10 ms), which only the simulator needs, and hashlib, which maps
+    # OpenSSL's libcrypto (~3.6 MB) and only table files need: solving
+    # and analysing a game load neither. numpy before 2.0 imports
+    # numpy.random, and through it _hashlib, with numpy itself
     out = _python("import sys, numpy; before = set(sys.modules); import uwjam; "
+                  "from uwjam.solver import GameConfig, solve_full_game; "
+                  "from uwjam.analysis import analyze; "
+                  "analyze(solve_full_game(GameConfig(k=2, b_t0=12, b_j0=10, alpha=0.4, "
+                  "p_clear=0.1, p_blocked=0.8, horizon=3))); "
                   "print(sorted(m for m in set(sys.modules) - before "
-                  "if m.split('.')[0] in ('scipy', 'decimal') or m.startswith('numpy.random')))")
+                  "if m.split('.')[0] in ('scipy', 'decimal', 'hashlib', '_hashlib') "
+                  "or m.startswith('numpy.random')))")
     assert out.stdout.strip() == "[]"
 
 

@@ -1512,9 +1512,11 @@ def test_layout_reader_stops_at_the_first_stray_block(tmp_path, monkeypatch):
     doc["states"].reverse()
     path.write_text(json.dumps(_resum(doc), separators=(",", ":")) + "\n")
     monkeypatch.setattr(uwjam.solver, "_READ_BYTES", 256)
+    # the reader checks a block's first record before it takes the rest
+    head = path.read_bytes().index(b'"states":[') + len(b'"states":')
     with open(path, "rb") as fh:
         assert uwjam.solver._read_layout(fh) is None
-        assert fh.tell() < path.stat().st_size // 2
+        assert fh.tell() < head + 4 * 256
     assert _loads_as_reference(path)
 
 
@@ -1560,3 +1562,15 @@ def test_load_hashes_a_crlf_file_as_text_mode_reads_it(tmp_path, small_game):
     path.write_bytes(text.replace("\n", "\r\n").encode())
     assert not _read_per_record(path)
     assert _loads_as_reference(path)
+
+
+@pytest.mark.xfail(strict=True, raises=TableError, reason="ROADMAP item 1")
+@pytest.mark.parametrize("d_jr", [28.0, 33.0, 38.0])
+def test_near_degenerate_band_tables_load(tmp_path, d_jr):
+    # a clear PER of 0 and a blocked PER just below 1 (1 - p_blocked from
+    # 3.4e-12 to 7.1e-4 here) leave the stage games near-degenerate: the
+    # float simplex loses the low digits of its strategies, whose rows
+    # then miss 1 by more than the loader allows
+    path = tmp_path / "table.json"
+    export_table(solve_full_game(game_config_for(ScenarioConfig(b_t0=20, b_j0=20), d_jr)), path)
+    load_table(path)
