@@ -174,6 +174,16 @@ def game_config_for(cfg, d_jr, mode=None):
                       horizon=cfg.horizon, discount=cfg.discount)
 
 
+def _games(cfg, distances, mode=None):
+    """{GameConfig: indices into distances}, in first-seen order: distances
+    whose PER pairs coincide play the same game, so it is solved once, one
+    table in memory at a time."""
+    games = {}
+    for i, d_jr in enumerate(distances):
+        games.setdefault(game_config_for(cfg, d_jr, mode), []).append(i)
+    return games
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -313,12 +323,8 @@ def _cmd_solve(args):
         if args.out is None:
             raise ConfigError("solve requires --out (or --sweep with --out-dir)")
         outputs = [(cfg.d_jr, args.out)]
-    # distances whose PER pairs coincide play the same game: solve it
-    # once, one table in memory at a time
-    games = {}
-    for d, path in outputs:
-        games.setdefault(game_config_for(cfg, d), []).append((d, path))
-    for game_cfg, group in games.items():
+    for game_cfg, indices in _games(cfg, [d for d, _ in outputs]).items():
+        group = [outputs[i] for i in indices]
         t0 = time.perf_counter()
         table = solver.solve_full_game(game_cfg)
         elapsed = time.perf_counter() - t0
@@ -380,15 +386,10 @@ def _cmd_mismatch(args):
     # non-strategic jammer baseline: T best-responds under the true
     # channel, J blindly spends k + 1 quanta per frame
     model = true_model if solve_model == "dummy" else solve_model
-    # distances whose solve-side PER pairs coincide play the same game:
-    # solve it once, one table in memory at a time
-    groups = {}
-    true_pairs = []
-    for i, d_jr in enumerate(distances):
-        true_pairs.append(resolve_error_model(cfg, d_jr, true_model))
-        groups.setdefault(game_config_for(cfg, d_jr, model), []).append(i)
+    true_pairs = [resolve_error_model(cfg, d_jr, true_model) for d_jr in distances]
     rows = [None] * len(distances)
-    for game_cfg, indices in groups.items():
+    # grouped by the solve side's PER pairs
+    for game_cfg, indices in _games(cfg, distances, model).items():
         if solve_model == "dummy":
             table = solver.solve_vs_fixed_jammer(game_cfg)
         else:

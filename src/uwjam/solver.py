@@ -135,15 +135,12 @@ class GameConfig:
 
     def __post_init__(self):
         _check_field_types(self)
-        if self.k < 1:
-            raise ConfigError("k must be a positive integer")
+        try:
+            self.subgame  # SubgameParams checks k, alpha and the PERs
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.b_t0 < 0 or self.b_j0 < 0:
             raise ConfigError("initial batteries must be nonnegative")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError("alpha must lie in [0, 1]")
-        for name in ("p_clear", "p_blocked"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1]")
         if not 0.0 <= self.discount <= 1.0:
             raise ConfigError("discount must lie in [0, 1]")
         if self.horizon == math.inf:
@@ -545,20 +542,20 @@ def _next_values(grid, k, safe_bt, alive, out=None):
     return out
 
 
-def _store(horizon_values, values, rows, cols, by_depth, first=1):
+def _store(horizon_values, values, lo, hi, by_depth, first=1):
     """Write a block's values for lookahead depths 1 .. depth.
 
-    Depths 1 .. first-1 repeat the level just below b_t slice rows.
-    by_depth (depth - first + 1, levels, columns) holds the solved depths
-    first .. depth and lands at rows and b_j slice cols. The game cannot
-    outlast depth frames from there, so every deeper lookahead repeats
-    the last depth, which is also the deployed value.
+    Depths 1 .. first-1 repeat level lo - 1 at levels lo .. hi-1.
+    by_depth (depth - first + 1, levels, b_j) holds the solved depths
+    first .. depth of those levels. The game cannot outlast depth frames
+    from there, so every deeper lookahead repeats the last depth, which is
+    also the deployed value.
     """
     depth = first - 1 + len(by_depth)
-    horizon_values[1:first, rows, cols] = horizon_values[1:first, rows.start - 1, None, cols]
-    horizon_values[first: depth + 1, rows, cols] = by_depth
-    horizon_values[depth + 1:, rows, cols] = horizon_values[depth, rows, cols]
-    values[rows, cols] = horizon_values[depth, rows, cols]
+    horizon_values[1:first, lo:hi] = horizon_values[1:first, lo - 1, None]
+    horizon_values[first: depth + 1, lo:hi] = by_depth
+    horizon_values[depth + 1:, lo:hi] = horizon_values[depth, lo:hi]
+    values[lo:hi] = horizon_values[depth, lo:hi]
 
 
 def _walk(config, arrays, step):
@@ -601,8 +598,7 @@ def _walk(config, arrays, step):
         low = min(depth, (lo - 1) // (2 * k))
         if low == depth:
             # then depth is g_store, which level lo - 1 deploys too
-            _store(horizon_values, values, slice(lo, hi), slice(None),
-                   np.empty((0, levels, b_j0 + 1)), depth + 1)
+            _store(horizon_values, values, lo, hi, np.empty((0, levels, b_j0 + 1)), depth + 1)
             t_probs[lo:hi] = t_probs[lo - 1]
             j_probs[lo:hi] = j_probs[lo - 1]
             continue
@@ -617,7 +613,7 @@ def _walk(config, arrays, step):
             stage *= config.discount
             stage += base[:m]
             solved.append(step(t_probs[lo:hi, :, :m], j_probs[lo:hi], stage))
-        _store(horizon_values, values, slice(lo, hi), slice(None), np.concatenate(solved), low + 1)
+        _store(horizon_values, values, lo, hi, np.concatenate(solved), low + 1)
     return StrategyTable(config, t_probs, j_probs, values, horizon_values)
 
 
@@ -696,9 +692,9 @@ _BODY = '"strat_t":[{0}],"strat_j":[{1}],{2}'
 _CANONICAL_BODY = '"strat_j":[{1}],"strat_t":[{0}],{2}'
 
 
-def _io_blocks(config, states):
+def _io_blocks(config):
     """Blocks (lo, hi, b_t, b_j) of levels lo .. hi-1, of whole levels of
-    about `states` states, with each state's member texts 'X,' and
+    about _IO_STATES states, with each state's member texts 'X,' and
     '"b_j":Y,'.
 
     A states list, [{"b_t":X,"b_j":Y,"strat_t":[T],...},{"b_t":...}], is
@@ -707,7 +703,7 @@ def _io_blocks(config, states):
     checksum's text puts '"b_j":Y,' before '"b_t":X,'.
     """
     b_j = [f'"b_j":{y},' for y in range(config.b_j0 + 1)]
-    per = max(1, states // len(b_j))
+    per = max(1, _IO_STATES // len(b_j))
     for lo in range(config.k, config.b_t0 + 1, per):
         levels = range(lo, min(lo + per, config.b_t0 + 1))
         b_t = [x for x in map("{},".format, levels) for _ in b_j]
@@ -831,7 +827,7 @@ def export_table(table, path, meta=None):
         fh.write(head[:-1].encode() + b',"states":')
         # a block's closing "},{" goes out before the next one
         sep = b"[{"
-        for lo, hi, b_t, b_j in _io_blocks(table.config, _IO_STATES):
+        for lo, hi, b_t, b_j in _io_blocks(table.config):
             inverse, bodies, canonical_bodies = _encode_block(table, lo, hi)
             key = ['"b_t":'] * len(b_t)
             written = _interleave(key, b_t, b_j, map(bodies.__getitem__, inverse))
@@ -879,26 +875,20 @@ def _table_arrays(config, zeros=np.zeros):
     return zeros((*grid, config.k + 1)), zeros((*grid, 2 * config.k)), zeros(grid)
 
 
-def _pieces(fh, buf):
-    """The text of buf and of the rest of the binary file fh, read
-    _READ_BYTES at a time, in lists of pieces cut before each '"b_t":'
-    (the marker dropped): the first piece is the text before the first
-    marker, the last runs to the end of the file. Each read is decoded as
-    strict UTF-8 up to its last marker, so no character is cut."""
-    lead, scan = True, 1
-    while True:
-        more = fh.read(_READ_BYTES)
+def _pieces(fh):
+    """The text of the binary file fh, read _READ_BYTES at a time, cut
+    before each '"b_t":' (the marker dropped): the first piece is the text
+    before the first marker, the last runs to the end of the file. Each
+    read is decoded as strict UTF-8 up to its last marker, so no character
+    is cut; only its new bytes and the 5 before them are searched."""
+    buf = bytearray()
+    while more := fh.read(_READ_BYTES):
         buf += more
-        cut = buf.rfind(b'"b_t":', scan) if more else len(buf)
-        if cut > 0 or not more:
-            pieces = buf[:cut].decode().split('"b_t":')
-            del buf[:cut]
-            # after the first cut, buf starts at a marker
-            yield pieces if lead else pieces[1:]
-            lead = False
-        if not more:
-            return
-        scan = max(1, len(buf) - 5)
+        cut = buf.rfind(b'"b_t":', max(0, len(buf) - len(more) - 5))
+        if cut >= 0:
+            yield from buf[:cut].decode().split('"b_t":')
+            del buf[:cut + 6]
+    yield buf.decode()
 
 
 def _read_layout(fh):
@@ -908,18 +898,11 @@ def _read_layout(fh):
     Each block of levels parses each distinct body once (:func:`_read_block`)
     and is read past its first record only where that record reads as
     written; nothing past the first block that strays is read."""
-    buf, start = bytearray(), -1
-    while start < 0:
-        more = fh.read(_READ_BYTES)
-        if not more:
-            return None
-        buf += more
-        start = buf.find(b'"states":[', max(0, len(buf) - len(more) - 9))
-    start += len('"states":')
-    head = buf[:start].decode()
-    room = os.fstat(fh.fileno()).st_size - start
-    del buf[:start]
-    pieces = itertools.chain.from_iterable(_pieces(fh, buf))
+    pieces = _pieces(fh)
+    # the first piece is the header, up to the states list's first '{'
+    head, states, lead = next(pieces).rpartition('"states":')
+    head += states
+    room = os.fstat(fh.fileno()).st_size - len(head.encode())
     try:
         # export_table's header closes with the states list
         config = GameConfig.from_dict(json.loads(head + "[]}")["config"])
@@ -927,10 +910,10 @@ def _read_layout(fh):
         return None
     # the checksum does not cover the config: size no arrays from it
     # unless the file has room for the '"b_t":' of as many records
-    if next(pieces) != "[{" or not 0 < 6 * _record_count(config) <= room:
+    if lead != "[{" or not 0 < 6 * _record_count(config) <= room:
         return None
     arrays, digest = _table_arrays(config), _sha256(b"[{")
-    for lo, hi, b_t, b_j in _io_blocks(config, _IO_STATES):
+    for lo, hi, b_t, b_j in _io_blocks(config):
         first = next(pieces, "")
         if not first.startswith(b_t[0] + b_j[0]):
             return None

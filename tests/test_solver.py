@@ -2,15 +2,18 @@
 
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
 import os
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import uwjam.solver
 from uwjam.cli import ScenarioConfig, game_config_for
@@ -1518,6 +1521,28 @@ def test_layout_reader_stops_at_the_first_stray_block(tmp_path, monkeypatch):
         assert uwjam.solver._read_layout(fh) is None
         assert fh.tell() < head + 4 * 256
     assert _loads_as_reference(path)
+
+
+# texts around and inside the marker, with characters of 2 to 4 bytes
+# that reads of 5 or 7 bytes cut
+_PIECE_TEXT = st.text(st.sampled_from('"b_t:{},é水𝄞'), max_size=12)
+
+
+@given(parts=st.lists(_PIECE_TEXT, max_size=6), size=st.sampled_from([1, 5, 7]),
+       bad=st.integers(0, 10 ** 6))
+@settings(max_examples=200)
+def test_pieces_cut_the_text_at_every_marker(parts, size, bad):
+    # '"b_t":'.join of texts that may hold markers of their own, or
+    # none at all: the pieces are the text split at every marker, so
+    # they join back to it and the first is the text before the first
+    text = '"b_t":'.join(parts)
+    data = text.encode()
+    with mock.patch.object(uwjam.solver, "_READ_BYTES", size):
+        assert list(uwjam.solver._pieces(io.BytesIO(data))) == text.split('"b_t":')
+        # a byte that no UTF-8 text holds, anywhere in the file
+        at = bad % (len(data) + 1)
+        with pytest.raises(UnicodeDecodeError):
+            list(uwjam.solver._pieces(io.BytesIO(data[:at] + b"\xff" + data[at:])))
 
 
 def test_load_memory_is_bounded_by_the_piece(tmp_path):
