@@ -37,11 +37,12 @@ The entering variable is the one with the largest reduced cost
 (Dantzig's rule, about half the pivots of Bland's lowest-index rule on
 these games) and the leaving row is the lexicographic minimum of the
 rows of [b | B^-1] over the entering column (Dantzig, Orden and Wolfe,
-1955). That leaving rule alone keeps degenerate matrices (common when a
-PER saturates at 0 or 1) from cycling, whichever improving column
-enters, and the ratio test reads the true right-hand side. Identical
-inputs take identical pivot paths, which makes solves reproducible bit
-for bit.
+1955). In exact arithmetic that leaving rule alone keeps degenerate
+matrices (common when a PER saturates at 0 or 1) from cycling, whichever
+improving column enters, and the ratio test reads the true right-hand
+side; with the 1e-12 pivot tolerance a game can cycle (ROADMAP item 1).
+Identical inputs take identical pivot paths, which makes solves
+reproducible bit for bit.
 """
 
 import contextlib
@@ -52,6 +53,7 @@ import numbers
 import os
 import uuid
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -246,6 +248,22 @@ _SIMPLEX_MAX_ITER = 5000
 _SIMPLEX_CHUNK = 1024
 # stage games built and solved at a time, in whole lookahead depths
 _GROUP_GAMES = 4 * _SIMPLEX_CHUNK
+_SHAPES = 128  # shapes each memo of shape constants keeps
+
+
+def _frozen(array):
+    """array, made read-only: memoized constants are shared."""
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=_SHAPES)
+def _tableau(m, n):
+    """(tableau, basis) every (m, n) game starts from before its matrix
+    goes in: [0 | I | 1] over the objective row, and the slacks."""
+    D = np.block([[np.zeros((m, n)), np.eye(m), np.ones((m, 1))],
+                  [np.ones((1, n)), np.zeros((1, m + 1))]])
+    return _frozen(D), _frozen(np.arange(n, n + m))
 
 
 def _minimax_batch(matrices):
@@ -281,24 +299,19 @@ def _minimax_batch(matrices):
     # tableau: m constraint rows [A | I | b] and the objective row
     # [reduced costs | -objective]; the slack block I becomes B^-1, which
     # the lexicographic ratio test reads
-    D = np.zeros((batch, m + 1, nv + 1))
+    D, basis = (c[None].repeat(batch, axis=0) for c in _tableau(m, n))
     D[:, :m, :n] = M + shift[:, None, None]
-    D[:, :m, n:nv] = np.eye(m)
-    D[:, :m, nv] = 1.0
     # an absent column is all zeros, so it never improves the objective
-    absent = M[:, 0] == np.inf
-    D[:, m, :n] = ~absent
-    np.copyto(D[:, :m, :n], 0.0, where=absent[:, None])
-    basis = np.repeat(np.arange(n, n + m)[None], batch, axis=0)
+    np.copyto(D[:, :, :n], 0.0, where=(M[:, 0] == np.inf)[:, None])
     for start in range(0, batch, _SIMPLEX_CHUNK):
         chunk = slice(start, start + _SIMPLEX_CHUNK)
         _pivot_to_optimum(D[chunk], basis[chunk])
     q = np.zeros((batch, nv))
-    q[np.arange(batch)[:, None], basis] = np.clip(D[:, :m, nv], 0.0, None)
+    q[np.arange(batch)[:, None], basis] = D[:, :m, nv].clip(0.0, None)
     objective = -D[:, m, nv]
     values = 1.0 / objective - shift
     col_strats = q[:, :n] / objective[:, None]
-    row_strats = np.clip(-D[:, m, n:nv], 0.0, None) / objective[:, None]
+    row_strats = (-D[:, m, n:nv]).clip(0.0, None) / objective[:, None]
     return values, row_strats, col_strats
 
 
@@ -313,9 +326,10 @@ def _pivot_to_optimum(D, basis):
     left (the lowest, if ties survive every column). The rows of
     [b | B^-1] stay lexicographically positive, so the objective row
     grows lexicographically with every pivot, whichever improving column
-    enters: no basis repeats and a degenerate game cannot cycle
-    (Bertsimas and Tsitsiklis, 1997, sec. 3.4), while the test reads the
-    true right-hand side.
+    enters: in exact arithmetic no basis repeats and a degenerate game
+    cannot cycle (Bertsimas and Tsitsiklis, 1997, sec. 3.4), while the
+    test reads the true right-hand side. With the _SIMPLEX_TOL tolerance
+    the default game at alpha = 0.2 and 33 m cycles (ROADMAP item 1).
     """
     m = D.shape[1] - 1
     nv = D.shape[2] - 1
@@ -496,6 +510,7 @@ class StrategyTable:
         return min(self.config.effective_horizon(), state.b_t // self.config.k)
 
 
+@lru_cache(maxsize=_SHAPES)
 def _levels(k, b_t0):
     """Blocks of b_t levels in solving order, with their successors.
 
@@ -504,19 +519,17 @@ def _levels(k, b_t0):
     on they also share the transmitter's action count. Below 2k every
     level has its own action count and forms a block alone.
 
-    :returns: iterator of (lo, hi, m, safe_bt, alive): the levels
+    :returns: tuple of (lo, hi, m, safe_bt, alive): the levels
         lo .. hi-1, their m = min(2k, lo) - k + 1 packet counts, and per
         level and count n_t = k + i whether the frame leaves a playable
         b_t - n_t >= k (alive) and that battery (safe_bt; k where the
-        game ends instead)
+        game ends instead); read-only arrays, shared per (k, b_t0)
     """
     blocks = [(b_t, b_t + 1) for b_t in range(k, min(2 * k, b_t0 + 1))]
     blocks += [(lo, min(lo + k, b_t0 + 1)) for lo in range(2 * k, b_t0 + 1, k)]
-    for lo, hi in blocks:
-        m, _ = _widths(k, lo, 0)
-        succ_bt = np.arange(lo, hi)[:, None] - np.arange(k, k + m)
-        alive = succ_bt >= k
-        yield lo, hi, m, np.where(alive, succ_bt, k), alive
+    succ = [np.arange(lo, hi)[:, None] - np.arange(k, min(2 * k, lo) + 1) for lo, hi in blocks]
+    return tuple((lo, hi, bt.shape[1], _frozen(np.maximum(bt, k)), _frozen(bt >= k))
+                 for (lo, hi), bt in zip(blocks, succ))
 
 
 def _next_values(grid, k, safe_bt, alive, out=None):
@@ -527,19 +540,27 @@ def _next_values(grid, k, safe_bt, alive, out=None):
         n_t = k + i packets and jamming n_j = j slots. Jam counts above b_j
         read b_j' = 0; a jammer cannot afford them, so they must carry
         zero probability (:func:`solve_full_game` overwrites those entries
-        with +inf). Successors where the game has ended read 0.
+        with +inf). Successors where the game has ended read 0. The
+        successors' b_j' are read-only, shared per (b_j, 2k) (:func:`_jams`).
     """
-    (levels, m), n_bj, n = safe_bt.shape, grid.shape[-1], 2 * k
     # one gather at b_t' * n_bj + b_j' in C order, as einsum's summation
-    # order may follow the strides; the index adds over a long last axis
-    # (m * 2k), and "clip" writes out directly where "raise" buffers it
-    succ_bj = np.maximum(np.arange(n_bj)[:, None] - np.arange(m * n) % n, 0)
-    index = np.repeat(safe_bt * n_bj, n, axis=1)[:, None, :] + succ_bj
-    out = np.take(grid.reshape(*grid.shape[:-2], -1), index.reshape(levels, n_bj, m, n),
-                  axis=-1, out=out, mode="clip")
+    # order may follow the strides; "clip" writes out directly where
+    # "raise" buffers it
+    succ_bj, _ = _jams(grid.shape[-1], 2 * k)
+    index = (safe_bt * grid.shape[-1])[:, None, :, None] + succ_bj
+    out = grid.reshape(*grid.shape[:-2], -1).take(index, axis=-1, out=out, mode="clip")
     for level, sent in zip(*np.nonzero(~alive)):
         out[..., level, :, sent, :] = 0.0
     return out
+
+
+@lru_cache(maxsize=_SHAPES)
+def _jams(n_bj, n):
+    """Read-only (b_j', unaffordable), each (b_j, 1, n): the jammer's
+    battery after jamming j < n slots at each b_j (0 where j > b_j), and
+    whether j > b_j."""
+    left = np.arange(n_bj)[:, None, None] - np.arange(n)
+    return _frozen(np.maximum(left, 0)), _frozen(left < 0)
 
 
 def _store(horizon_values, values, lo, hi, by_depth, first=1):
@@ -622,11 +643,10 @@ def _equilibrium(pt, pj, stage):
     jammer cannot afford, becomes an all-+inf column (see
     :func:`_minimax_batch`) and gets probability 0. The deepest depth's
     strategies land in pt and pj."""
-    n_bj, n = stage.shape[2], stage.shape[4]
-    np.copyto(stage, np.inf, where=(np.arange(n_bj)[:, None] < np.arange(n))[:, None, :])
+    np.copyto(stage, np.inf, where=_jams(*pj.shape[1:])[1])
     vals, rows, cols = _solve_stage_batch(stage)
-    pt[...] = rows.reshape(stage.shape[:4])[-1]
-    pj[...] = cols.reshape(*stage.shape[:3], n)[-1]
+    pt[...] = rows.reshape(-1, *pt.shape)[-1]
+    pj[...] = cols.reshape(-1, *pj.shape)[-1]
     return vals.reshape(stage.shape[:3])
 
 

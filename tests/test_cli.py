@@ -357,6 +357,14 @@ def test_mismatch_exits_0_in_the_near_degenerate_band(tmp_path, d_jr):
                  "--out", str(tmp_path / "mm.csv")]) == 0
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_solve_exits_0_at_alpha_0_2_and_33_m(tmp_path):
+    # on the default scenario one stage game cycles under the 1e-12 pivot
+    # tolerance until the simplex gives up: a solver error, exit code 5
+    assert main(["solve", "--alpha", "0.2", "--d-jr", "33",
+                 "--out", str(tmp_path / "table.json")]) == 0
+
+
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import uwjam.solver
+from uwjam import analysis
 from uwjam.cli import ScenarioConfig, game_config_for
 from uwjam.errors import ConfigError, SolverError, TableError
 from uwjam.solver import (
@@ -335,6 +336,52 @@ def test_next_values_equals_one_gather(k, b_j0):
             want = oracles.next_values_reference(g, k, safe_bt, alive)
             assert got.shape == want.shape and got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
+
+
+# a dozen grids: each k with every lookahead kind, jammer batteries of
+# 0, 3 and 12 quanta, and transmitter batteries of 12 and 7 quanta
+MEMO_CONFIGS = [
+    GameConfig(k=k, b_t0=b_t0, b_j0=b_j0, alpha=0.4, p_clear=0.1, p_blocked=0.8,
+               horizon=horizon, discount=discount)
+    for k, b_t0, b_j0, (horizon, discount) in [
+        (1, 12, 0, (1, 1.0)), (1, 12, 3, (4, 1.0)), (1, 7, 12, (math.inf, 0.9)),
+        (2, 12, 12, (1, 1.0)), (2, 7, 0, (4, 1.0)), (2, 12, 3, (math.inf, 0.9)),
+        (3, 12, 3, (1, 1.0)), (3, 12, 12, (4, 1.0)), (3, 7, 0, (math.inf, 0.9)),
+        (1, 12, 12, (4, 1.0)), (2, 12, 0, (math.inf, 0.9)), (3, 7, 12, (1, 1.0)),
+    ]
+]
+SHAPE_MEMOS = [uwjam.solver._levels, uwjam.solver._jams, uwjam.solver._tableau]
+
+
+def _solved_bytes(cfg):
+    """Bytes of a config's equilibrium and dummy-jammer tables and of the
+    equilibrium's lifetime and success maps."""
+    tables = [solve_full_game(cfg), solve_vs_fixed_jammer(cfg)]
+    arrays = [getattr(table, name) for table in tables
+              for name in ("t_probs", "j_probs", "values", "horizon_values")]
+    arrays += [analysis._lifetime_map(tables[0]), analysis._success_map(tables[0])]
+    return [array.tobytes() for array in arrays]
+
+
+def test_shape_constants_carry_no_grid_into_another():
+    # the memos hold arrays shared by every solve of the same shapes: from
+    # empty memos and in the reverse order, each solve gives the same bytes
+    first = [_solved_bytes(cfg) for cfg in MEMO_CONFIGS]
+    for memo in SHAPE_MEMOS:
+        memo.cache_clear()
+    again = [_solved_bytes(cfg) for cfg in reversed(MEMO_CONFIGS)]
+    assert again[::-1] == first
+    assert all(memo.cache_info().currsize for memo in SHAPE_MEMOS)
+
+
+def test_shape_constants_are_read_only():
+    k = 3
+    shared = [*uwjam.solver._tableau(k + 1, 2 * k), *uwjam.solver._jams(13, 2 * k)]
+    for _, _, _, safe_bt, alive in _levels(k, 12):
+        shared += [safe_bt, alive]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 def test_build_payoff_matrix():
