@@ -78,8 +78,8 @@ def _lifetime_map(table):
         return cached
     cfg = table.config
     el = np.zeros((cfg.b_t0 + 1, cfg.b_j0 + 1))
-    for lo, hi, m, safe_bt, alive in _levels(cfg.k, cfg.b_t0):
-        nxt = _next_values(el, cfg.k, safe_bt, alive)
+    for lo, hi, m, succ_bt in _levels(cfg.k, cfg.b_t0):
+        nxt = _next_values(el, cfg.k, succ_bt)
         el[lo:hi] = 1.0 + np.einsum(
             'lbi,lbj,lbij->lb', table.t_probs[lo:hi, :, :m], table.j_probs[lo:hi], nxt)
     table._caches["lifetime"] = el
@@ -95,9 +95,9 @@ def _success_map(table, error_pair=None):
     cfg = table.config
     el = _lifetime_map(table)
     ps = np.zeros((cfg.b_t0 + 1, cfg.b_j0 + 1))
-    for lo, hi, m, safe_bt, alive in _levels(cfg.k, cfg.b_t0):
-        el_next = _next_values(el, cfg.k, safe_bt, alive)
-        ps_next = _next_values(ps, cfg.k, safe_bt, alive)
+    for lo, hi, m, succ_bt in _levels(cfg.k, cfg.b_t0):
+        el_next = _next_values(el, cfg.k, succ_bt)
+        ps_next = _next_values(ps, cfg.k, succ_bt)
         contrib = (chi[:m] + el_next * ps_next) / (1.0 + el_next)
         ps[lo:hi] = np.einsum(
             'lbi,lbj,lbij->lb', table.t_probs[lo:hi, :, :m], table.j_probs[lo:hi], contrib)
@@ -527,7 +527,8 @@ def _play_chunk(table, lmap, draw, p_clear, p_blocked):
         bt = bt - n_t
         bj = bj - n_j
         b_t[live], b_j[live] = bt, bj
-        l_next = np.where(bt >= k, lmap[bt, bj], 0.0)
+        # a run that has ended reads its row b_t < k, which holds zeros
+        l_next = lmap[bt, bj]
         # adding 0.0 for a lost frame leaves a run's statistic as it was
         stat[:, live] += np.where(delivered >= k, weight[live] / (1.0 + l_next), 0.0)
         weight[live] *= l_next / (1.0 + l_next)

@@ -224,7 +224,7 @@ def _load_scenario(args):
                 raise ConfigError(f"{args.config}: not UTF-8 JSON: {exc}") from None
     cfg = ScenarioConfig.from_dict(data)
     overrides = {name: value for name in ("per_mode", "d_jr", "alpha")
-                 if (value := getattr(args, name)) is not None}
+                 if (value := getattr(args, name, None)) is not None}
     if overrides:
         cfg = cfg.replace(**overrides)
     return cfg
@@ -438,13 +438,14 @@ def _build_parser():
         description="Equilibrium strategies for the underwater jamming game")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False, table=False, out=True):
+    overrides = {"per_mode": dict(choices=PER_MODES, help="override the PER mode"),
+                 "alpha": dict(type=float, help="override the energy weight"),
+                 "d_jr": dict(type=float, help="override the jammer distance (m)")}
+
+    def common(p, *reads, seed=False, table=False, out=True):
         p.add_argument("--config", help="scenario config JSON")
-        p.add_argument("--per-mode", dest="per_mode", choices=PER_MODES,
-                       help="override the PER mode")
-        p.add_argument("--alpha", type=float, help="override the energy weight")
-        p.add_argument("--d-jr", dest="d_jr", type=float,
-                       help="override the jammer distance (m)")
+        for name in reads:
+            p.add_argument("--" + name.replace("_", "-"), **overrides[name])
         if out:
             p.add_argument("--out", help="output CSV path (default stdout)")
         if seed:
@@ -455,11 +456,11 @@ def _build_parser():
             p.add_argument("--table", required=True, help="strategy table JSON")
 
     p = sub.add_parser("per-sweep", help="PER pairs over the distance sweep")
-    common(p)
+    common(p, "per_mode")
     p.set_defaults(func=_cmd_per_sweep)
 
     p = sub.add_parser("solve", help="solve one game to a strategy table")
-    common(p, out=False)
+    common(p, "per_mode", "alpha", "d_jr", out=False)
     p.add_argument("--out", help="output table path")
     p.add_argument("--sweep", dest="sweep_all", action="store_true",
                    help="solve every sweep distance")
@@ -467,23 +468,23 @@ def _build_parser():
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("evaluate", help="closed-form evaluation of tables")
-    common(p)
+    common(p, "per_mode", "alpha")
     p.add_argument("--table", action="append", required=True,
                    help="strategy table JSON (repeatable)")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("simulate", help="Monte Carlo replay of a table")
-    common(p, seed=True, table=True)
+    common(p, "per_mode", "alpha", seed=True, table=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sensitivity", help="PER-perturbation sweep")
-    common(p, seed=True, table=True)
+    common(p, "per_mode", "alpha", seed=True, table=True)
     p.add_argument("--sigma", action="append", type=float,
                    help="perturbation std-dev (repeatable; default 0, 0.05, 0.1)")
     p.set_defaults(func=_cmd_sensitivity)
 
     p = sub.add_parser("mismatch", help="solve under one model, score under another")
-    common(p)
+    common(p, "alpha", "d_jr")
     p.add_argument("--solve-model", required=True, choices=SOLVE_MODELS)
     p.add_argument("--true-model", required=True, choices=PER_MODES)
     p.set_defaults(func=_cmd_mismatch)

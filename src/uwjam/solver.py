@@ -18,16 +18,19 @@ repeat at every b_t >= 2k gamma and those levels copy the level below
 instead of solving again. A frame costs at least k quanta, so the k
 levels qk .. qk+k-1 depend only on levels below qk and are solved as
 one block, in batches of whole lookahead depths with all 2k jam counts
-(:func:`_walk`). Many of a block's games repeat a neighbour's
-bytes: continuation values often stop changing in b_t or b_j, and the
-jammer cannot spend more than gamma(2k-1) quanta within gamma frames, so
-every b_j above that cap repeats the game at b_j - 1. Such a game takes
-the solution of the same game one level down or at b_j - 1 instead of
-being pivoted again (:func:`_solve_stage_batch`). The transmitter's best
-response to the dummy jammer takes the same walk over level blocks and
-depth groups (:func:`_walk`), and the lifetime and success recursions of
-:mod:`uwjam.analysis` walk the same level blocks and read successors
-through the same gather (:func:`_levels`, :func:`_next_values`).
+(:func:`_walk`). The battery grid is the walk's only state: a block's
+values go straight into it, and a frame that ends the game reads the
+grid's rows b_t < k, which hold zeros. Many of a block's games repeat a
+neighbour's bytes: continuation values often stop changing in b_t or
+b_j, and the jammer cannot spend more than gamma(2k-1) quanta within
+gamma frames, so every b_j above that cap repeats the game at b_j - 1.
+Such a game takes the solution of the same game one level down or at
+b_j - 1 instead of being pivoted again (:func:`_solve_stage_batch`).
+The transmitter's best response to the dummy jammer takes the same walk
+over level blocks and depth groups (:func:`_walk`), and the lifetime
+and success recursions of :mod:`uwjam.analysis` walk the same level
+blocks and read successors through the same gather (:func:`_levels`,
+:func:`_next_values`).
 
 Matrix games are solved as linear programs with a dense tableau simplex,
 batched over states: value = 1/max(1'q) with (M + shift) q <= 1, q >= 0.
@@ -519,20 +522,19 @@ def _levels(k, b_t0):
     on they also share the transmitter's action count. Below 2k every
     level has its own action count and forms a block alone.
 
-    :returns: tuple of (lo, hi, m, safe_bt, alive): the levels
-        lo .. hi-1, their m = min(2k, lo) - k + 1 packet counts, and per
-        level and count n_t = k + i whether the frame leaves a playable
-        b_t - n_t >= k (alive) and that battery (safe_bt; k where the
-        game ends instead); read-only arrays, shared per (k, b_t0)
+    :returns: tuple of (lo, hi, m, succ_bt): the levels lo .. hi-1, their
+        m = min(2k, lo) - k + 1 packet counts, and per level and count
+        n_t = k + i the battery b_t - n_t the frame leaves (succ_bt), below
+        k where the game ends, whose grid rows hold zeros
+        (:func:`_next_values`); read-only arrays, shared per (k, b_t0)
     """
     blocks = [(b_t, b_t + 1) for b_t in range(k, min(2 * k, b_t0 + 1))]
     blocks += [(lo, min(lo + k, b_t0 + 1)) for lo in range(2 * k, b_t0 + 1, k)]
     succ = [np.arange(lo, hi)[:, None] - np.arange(k, min(2 * k, lo) + 1) for lo, hi in blocks]
-    return tuple((lo, hi, bt.shape[1], _frozen(np.maximum(bt, k)), _frozen(bt >= k))
-                 for (lo, hi), bt in zip(blocks, succ))
+    return tuple((lo, hi, bt.shape[1], _frozen(bt)) for (lo, hi), bt in zip(blocks, succ))
 
 
-def _next_values(grid, k, safe_bt, alive, out=None):
+def _next_values(grid, k, succ_bt, out=None):
     """Entries of grid (..., b_t, b_j) at every successor of a level block.
 
     :returns: array (..., levels, b_j, m, 2k), or out filled with it,
@@ -540,18 +542,16 @@ def _next_values(grid, k, safe_bt, alive, out=None):
         n_t = k + i packets and jamming n_j = j slots. Jam counts above b_j
         read b_j' = 0; a jammer cannot afford them, so they must carry
         zero probability (:func:`solve_full_game` overwrites those entries
-        with +inf). Successors where the game has ended read 0. The
+        with +inf). A successor where the game has ended reads its own row
+        b_t' < k, so every grid read here holds +0.0 at b_t < k. The
         successors' b_j' are read-only, shared per (b_j, 2k) (:func:`_jams`).
     """
     # one gather at b_t' * n_bj + b_j' in C order, as einsum's summation
     # order may follow the strides; "clip" writes out directly where
     # "raise" buffers it
     succ_bj, _ = _jams(grid.shape[-1], 2 * k)
-    index = (safe_bt * grid.shape[-1])[:, None, :, None] + succ_bj
-    out = grid.reshape(*grid.shape[:-2], -1).take(index, axis=-1, out=out, mode="clip")
-    for level, sent in zip(*np.nonzero(~alive)):
-        out[..., level, :, sent, :] = 0.0
-    return out
+    index = (succ_bt * grid.shape[-1])[:, None, :, None] + succ_bj
+    return grid.reshape(*grid.shape[:-2], -1).take(index, axis=-1, out=out, mode="clip")
 
 
 @lru_cache(maxsize=_SHAPES)
@@ -561,22 +561,6 @@ def _jams(n_bj, n):
     whether j > b_j."""
     left = np.arange(n_bj)[:, None, None] - np.arange(n)
     return _frozen(np.maximum(left, 0)), _frozen(left < 0)
-
-
-def _store(horizon_values, values, lo, hi, by_depth, first=1):
-    """Write a block's values for lookahead depths 1 .. depth.
-
-    Depths 1 .. first-1 repeat level lo - 1 at levels lo .. hi-1.
-    by_depth (depth - first + 1, levels, b_j) holds the solved depths
-    first .. depth of those levels. The game cannot outlast depth frames
-    from there, so every deeper lookahead repeats the last depth, which is
-    also the deployed value.
-    """
-    depth = first - 1 + len(by_depth)
-    horizon_values[1:first, lo:hi] = horizon_values[1:first, lo - 1, None]
-    horizon_values[first: depth + 1, lo:hi] = by_depth
-    horizon_values[depth + 1:, lo:hi] = horizon_values[depth, lo:hi]
-    values[lo:hi] = horizon_values[depth, lo:hi]
 
 
 def _walk(config, arrays, step):
@@ -590,16 +574,17 @@ def _walk(config, arrays, step):
     one reused buffer, in even groups of whole depths of about
     _GROUP_GAMES games. step(pt, pj, stage) takes a group's games with the
     block's send probabilities pt (levels, b_j, m) and jam probabilities
-    pj (levels, b_j, 2k) and returns their values (depths, levels, b_j);
-    it may fill pt and pj in place, and the last group, the deepest, has
-    the last word. Horizon values for every gamma go through :func:`_store`.
+    pj (levels, b_j, 2k) and returns their values (depths, levels, b_j),
+    which go straight into horizon_values; it may fill pt and pj in place,
+    and the last group, the deepest, has the last word. A frame that ends
+    the game reads the levels below k, which stay zero.
 
     The transmitter cannot spend more than 2k gamma quanta within gamma
     frames, so where play does not depend on b_t the gamma-frame games at
     every b_t >= 2k gamma are those of b_t = 2k gamma: a block copies such
     depths from the level below it and steps through only the deeper ones.
     Where that covers the deployed depth as well, the block copies the
-    level below whole.
+    level below whole. Deeper lookaheads repeat the deployed depth.
 
     :param arrays: (t_probs, j_probs, values) of the returned table
     """
@@ -612,29 +597,28 @@ def _walk(config, arrays, step):
     # one buffer for every group: at most _GROUP_GAMES games and a depth
     per_depth = k * (b_j0 + 1)
     buf = np.empty(min(_GROUP_GAMES + per_depth, g_store * per_depth) * (k + 1) * 2 * k)
-    for lo, hi, m, safe_bt, alive in _levels(k, b_t0):
-        levels = hi - lo
+    for lo, hi, m, succ_bt in _levels(k, b_t0):
         depth = min(g_store, lo // k)
         # depths 1 .. low are capped at level lo - 1 already
         low = min(depth, (lo - 1) // (2 * k))
+        horizon_values[1:low + 1, lo:hi] = horizon_values[1:low + 1, lo - 1, None]
         if low == depth:
             # then depth is g_store, which level lo - 1 deploys too
-            _store(horizon_values, values, lo, hi, np.empty((0, levels, b_j0 + 1)), depth + 1)
             t_probs[lo:hi] = t_probs[lo - 1]
             j_probs[lo:hi] = j_probs[lo - 1]
-            continue
-        shape = (levels, b_j0 + 1, m, 2 * k)
+        shape = (hi - lo, b_j0 + 1, m, 2 * k)
         # even groups of whole depths, each above a chunk if the block is
-        groups = min(depth - low, -(-(depth - low) * levels * (b_j0 + 1) // _GROUP_GAMES))
-        solved = []
+        groups = min(depth - low, -(-(depth - low) * (hi - lo) * (b_j0 + 1) // _GROUP_GAMES))
         for g in range(groups):
             start, stop = low + (depth - low) * g // groups, low + (depth - low) * (g + 1) // groups
-            stage = _next_values(horizon_values[start:stop], k, safe_bt, alive,
+            stage = _next_values(horizon_values[start:stop], k, succ_bt,
                                  buf[:(stop - start) * math.prod(shape)].reshape(-1, *shape))
             stage *= config.discount
             stage += base[:m]
-            solved.append(step(t_probs[lo:hi, :, :m], j_probs[lo:hi], stage))
-        _store(horizon_values, values, lo, hi, np.concatenate(solved), low + 1)
+            horizon_values[start + 1:stop + 1, lo:hi] = step(
+                t_probs[lo:hi, :, :m], j_probs[lo:hi], stage)
+        horizon_values[depth + 1:, lo:hi] = horizon_values[depth, lo:hi]
+        values[lo:hi] = horizon_values[depth, lo:hi]
     return StrategyTable(config, t_probs, j_probs, values, horizon_values)
 
 

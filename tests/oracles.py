@@ -341,11 +341,12 @@ def forced_play_table(config, t_policy, j_policy):
     return StrategyTable(config, t_probs, j_probs, np.zeros(shape))
 
 
-def next_values_reference(grid, k, safe_bt, alive):
+def next_values_reference(grid, k, succ_bt):
     """solver._next_values as one gather: grid (..., b_t, b_j) at every
-    (level, b_j, n_t, n_j) successor, 0 where the game has ended."""
+    (level, b_j, n_t, n_j) successor, 0 where the game has ended (b_t' < k)."""
     succ_bj = np.clip(np.arange(grid.shape[-1])[:, None] - np.arange(2 * k), 0, None)
-    nxt = grid[..., safe_bt[:, None, :, None], succ_bj[None, :, None, :]]
+    alive = succ_bt >= k
+    nxt = grid[..., np.where(alive, succ_bt, k)[:, None, :, None], succ_bj[None, :, None, :]]
     return np.where(alive[:, None, :, None], nxt, 0.0)
 
 

@@ -115,6 +115,15 @@ def test_success_error_pair_override(ne_table):
     assert ff == pytest.approx(1.0)
 
 
+def test_terminal_states_score_zero(ne_table):
+    # from b_t < k no frame is played, so none succeeds
+    k, b_j0 = ne_table.config.k, ne_table.config.b_j0
+    for state in (GameState(0, 0), GameState(k - 1, b_j0)):
+        assert expected_lifetime(ne_table, state) == 0.0
+        assert success_probability(ne_table, state) == 0.0
+        assert first_frame_success(ne_table, state) == 0.0
+
+
 def test_analyze_report(ne_table):
     rep = analyze(ne_table)
     assert isinstance(rep, AnalysisReport)

@@ -10,7 +10,8 @@ import weakref
 import pytest
 
 import uwjam.solver
-from uwjam.cli import DEFAULT_SWEEP, REPORT_COLUMNS, ScenarioConfig, _write_csv, main
+from uwjam.cli import (DEFAULT_SWEEP, REPORT_COLUMNS, ScenarioConfig, _write_csv, main,
+                       resolve_error_model)
 from uwjam.errors import ConfigError
 from uwjam.solver import export_table, load_table
 
@@ -102,6 +103,35 @@ def test_per_sweep_empirical(tmp_path):
     _, _, rows = _read_csv(out.read_text())
     assert [float(r["per_clear"]) for r in rows] == [0.02] * 3
     assert [float(r["per_blocked"]) for r in rows] == [0.9, 0.7, 0.5]
+
+
+def test_per_sweep_per_mode_override(tmp_path, scenario):
+    out = tmp_path / "coded.csv"
+    assert main(["per-sweep", "--config", scenario, "--per-mode", "coded",
+                 "--out", str(out)]) == 0
+    comment, _, rows = _read_csv(out.read_text())
+    cfg = ScenarioConfig.from_dict(SMALL_SCENARIO)
+    coded = [resolve_error_model(cfg, d, "coded") for d in cfg.sweep]
+    assert coded != [resolve_error_model(cfg, d) for d in cfg.sweep]
+    assert [(float(r["per_clear"]), float(r["per_blocked"])) for r in rows] == coded
+    assert json.loads(comment[len("# config: "):])["per_mode"] == "coded"
+
+
+@pytest.mark.parametrize("argv", [
+    ["per-sweep", "--d-jr", "60"],
+    ["per-sweep", "--alpha", "0.2"],
+    ["evaluate", "--table", "table.json", "--d-jr", "60"],
+    ["simulate", "--table", "table.json", "--d-jr", "60"],
+    ["sensitivity", "--table", "table.json", "--d-jr", "60"],
+    ["mismatch", "--solve-model", "coded", "--true-model", "uncoded", "--per-mode", "coded"],
+])
+def test_overrides_a_subcommand_does_not_read_exit_2(argv, capsys):
+    # rows come from the sweep, each table's meta or the two model flags:
+    # an override they would ignore is refused, as argparse refuses flags
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,33 @@ def test_simplex_stall_raises_solver_error(monkeypatch):
     assert issubclass(SolverError, RuntimeError)
 
 
+# one 5 x 8 stage game of the default scenario's full-scale solve at
+# alpha = 0.2 and 33 m, captured where the simplex gave up on it: its rows
+# agree to about 1e-15 in their first columns
+STALLING_GAME = [
+    [-0.3333333333333318, -0.6761902365002825, -0.9047615851749246, -1.0419044742763959,
+     -1.1104759987227102, -1.1333332534343865, -1.1333333333304703, -1.133333333329962],
+    [-0.3333333333333319, -0.3333333333333319, -0.5619044423179493, -0.8361899009340807,
+     -1.0419041866480983, -1.13333301374479, -1.1333333333306796, -1.133333333329962],
+    [-0.3333333333333317, -0.3333333333333317, -0.3333333333333318, -0.5619042825247113,
+     -0.9047609460014698, -1.133332534365466, -1.133333333330608, -1.1333333333312325],
+    [-0.3333333333333318, -0.3333333333333318, -0.3333333333333318, -0.33333333333333204,
+     -0.6761895174307118, -1.1333317353992762, -1.1333333333299804, -1.133333333333332],
+    [-0.3333333333333319, -0.3333333333333319, -0.3333333333333319, -0.33333333333333204,
+     -0.3333333333333319, -1.133330536951667, -1.133333333327467, -1.133333333333332],
+]
+
+
+@pytest.mark.xfail(strict=True, raises=SolverError, reason="ROADMAP item 1")
+def test_near_degenerate_stage_game_is_certified():
+    # solved alone, this game cycles under the 1e-12 pivot tolerance until
+    # the simplex gives up after _SIMPLEX_MAX_ITER pivots
+    values, rows, cols = _minimax_batch(np.array(STALLING_GAME)[None])
+    row_gap, col_gap = oracles.best_response_gaps(STALLING_GAME, rows[0], cols[0], values[0])
+    assert row_gap <= 1e-9 and col_gap <= 1e-9
+    assert abs(rows[0].sum() - 1.0) <= 1e-12 and abs(cols[0].sum() - 1.0) <= 1e-12
+
+
 def test_largest_reduced_cost_enters(monkeypatch):
     # the entering column is the one with the largest reduced cost: on
     # this batch no chunk needs more than 12 pivot rounds, while the
@@ -304,15 +331,16 @@ def test_level_successors():
     k, b_t0 = 4, 21
     blocks = list(_levels(k, b_t0))
     # levels k .. 2k-1 alone, then blocks of k levels up to b_t0
-    assert [(lo, hi, m) for lo, hi, m, _, _ in blocks] == (
+    assert [(lo, hi, m) for lo, hi, m, _ in blocks] == (
         [(4, 5, 1), (5, 6, 2), (6, 7, 3), (7, 8, 4)]
         + [(8, 12, 5), (12, 16, 5), (16, 20, 5), (20, 22, 5)])
-    lo, hi, m, safe_bt, alive = blocks[4]
+    lo, hi, m, succ_bt = blocks[4]
     # from b_t=9, n_t=4 leaves 5 and n_t=6 drains below k: the game ends
-    assert safe_bt[1, 0] == 5 and alive[1, 0]
-    assert not alive[1, 2]
+    assert succ_bt[1, 0] == 5 and succ_bt[1, 0] >= k
+    assert succ_bt[1, 2] < k
     grid = np.arange(22 * 4, dtype=float).reshape(22, 4) + 1.0
-    nxt = _next_values(grid, k, safe_bt, alive)
+    grid[:k] = 0.0
+    nxt = _next_values(grid, k, succ_bt)
     assert nxt.shape == (4, 4, 5, 8)
     # (9, 3) sending 4 and jamming 3 leads to (5, 0)
     assert nxt[1, 3, 0, 3] == grid[5, 0]
@@ -320,7 +348,7 @@ def test_level_successors():
     # jam counts the jammer cannot afford read b_j' = 0
     assert nxt[1, 3, 0, 7] == grid[5, 0]
     # leading axes of the grid carry through
-    stacked = _next_values(np.stack([grid, 2 * grid]), k, safe_bt, alive)
+    stacked = _next_values(np.stack([grid, 2 * grid]), k, succ_bt)
     np.testing.assert_array_equal(stacked, np.stack([nxt, 2 * nxt]))
 
 
@@ -330,10 +358,11 @@ def test_next_values_equals_one_gather(k, b_j0):
     b_t0 = 5 * k + 2
     grid = np.random.default_rng(k).random((3, b_t0 + 1, b_j0 + 1)) - 0.5
     grid[0, k, 0] = -0.0
-    for _, _, _, safe_bt, alive in _levels(k, b_t0):
+    grid[:, :k] = 0.0
+    for _, _, _, succ_bt in _levels(k, b_t0):
         for g in (grid[0], grid):
-            got = _next_values(g, k, safe_bt, alive)
-            want = oracles.next_values_reference(g, k, safe_bt, alive)
+            got = _next_values(g, k, succ_bt)
+            want = oracles.next_values_reference(g, k, succ_bt)
             assert got.shape == want.shape and got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
 
@@ -377,11 +406,23 @@ def test_shape_constants_carry_no_grid_into_another():
 def test_shape_constants_are_read_only():
     k = 3
     shared = [*uwjam.solver._tableau(k + 1, 2 * k), *uwjam.solver._jams(13, 2 * k)]
-    for _, _, _, safe_bt, alive in _levels(k, 12):
-        shared += [safe_bt, alive]
+    for _, _, _, succ_bt in _levels(k, 12):
+        shared.append(succ_bt)
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
+
+
+def test_grids_hold_positive_zeros_below_k():
+    # a frame that ends the game reads the grid's rows b_t < k
+    # (_next_values): every grid it reads holds +0.0 there, never -0.0
+    for cfg in MEMO_CONFIGS:
+        tables = [solve_full_game(cfg), solve_vs_fixed_jammer(cfg)]
+        for table in tables:
+            for grid in (table.horizon_values, analysis._lifetime_map(table),
+                         analysis._success_map(table)):
+                below = grid[..., :cfg.k, :]
+                assert below.tobytes() == bytes(below.nbytes), cfg
 
 
 def test_build_payoff_matrix():
@@ -548,6 +589,13 @@ def test_horizon_values(small_game):
         table.horizon_value(s0, -1)
     with pytest.raises(ValueError, match="gamma must be nonnegative"):
         table.horizon_value(s0, math.nan)
+
+
+def test_horizon_value_is_zero_at_terminal_states(small_game):
+    cfg, table = small_game
+    for state in (GameState(0, 0), GameState(cfg.k - 1, cfg.b_j0)):
+        for gamma in (0, 1, math.inf):
+            assert table.horizon_value(state, gamma) == 0.0
 
 
 def test_lookahead_saturates_when_battery_runs_short():
