@@ -394,6 +394,12 @@ def _cmd_mismatch(args):
             table = solver.solve_vs_fixed_jammer(game_cfg)
         else:
             table = solver.solve_full_game(game_cfg)
+        # the rows load_table checks: near-degenerate stage games leave
+        # strategy rows that are not distributions (ROADMAP item 1)
+        fault = solver._row_fault(table)
+        if fault:
+            label = ", ".join(f"{distances[i]:g}" for i in indices)
+            raise SolverError(f"d_jr={label} m: the solved table's {fault} (ROADMAP item 1)")
         for i in indices:
             d_jr = distances[i]
             report = analysis.mismatch_evaluation(table, true_pairs[i])

@@ -18,16 +18,20 @@ repeat at every b_t >= 2k gamma and those levels copy the level below
 instead of solving again. A frame costs at least k quanta, so the k
 levels qk .. qk+k-1 depend only on levels below qk and are solved as
 one block, in batches of whole lookahead depths with all 2k jam counts
-(:func:`_walk`). The battery grid is the walk's only state: a block's
-values go straight into it, and a frame that ends the game reads the
-grid's rows b_t < k, which hold zeros. Many of a block's games repeat a
-neighbour's bytes: continuation values often stop changing in b_t or
-b_j, and the jammer cannot spend more than gamma(2k-1) quanta within
-gamma frames, so every b_j above that cap repeats the game at b_j - 1.
+(:func:`_walk`). The walk allocates the table it returns: the battery
+grid of horizon values, its only state, and both strategy arrays. A
+block's values go straight into the grid, each step writes the play it
+decides into the strategy arrays, and the deployed values are the grid's
+deepest row; a frame that ends the game reads the grid's rows b_t < k,
+which hold zeros. Many of a block's games repeat a neighbour's bytes:
+continuation values often stop changing in b_t or b_j, and the jammer
+cannot spend more than gamma(2k-1) quanta within gamma frames, so every
+b_j above that cap repeats the game at b_j - 1.
 Such a game takes the solution of the same game one level down or at
 b_j - 1 instead of being pivoted again (:func:`_solve_stage_batch`).
 The transmitter's best response to the dummy jammer takes the same walk
-over level blocks and depth groups (:func:`_walk`), and the lifetime
+over level blocks and depth groups (:func:`_walk`), its step writing the
+dummy jammer's play as well as the reply, and the lifetime
 and success recursions of :mod:`uwjam.analysis` walk the same level
 blocks and read successors through the same gather (:func:`_levels`,
 :func:`_next_values`).
@@ -448,6 +452,10 @@ class StrategyTable:
     Rows for terminal b_t are all zero. horizon_values[g, b_t, b_j] holds
     the g-frame lookahead value (g = 0 is identically 0); it is None on
     tables loaded from disk, which only carry deployed strategies.
+
+    A solved table's arrays are allocated by :func:`_walk`, and its values
+    are a view of horizon_values[-1], the deepest lookahead; a loaded
+    table's values are an array of their own (:func:`load_table`).
     """
 
     def __init__(self, config, t_probs, j_probs, values, horizon_values=None, meta=None):
@@ -563,7 +571,7 @@ def _jams(n_bj, n):
     return _frozen(np.maximum(left, 0)), _frozen(left < 0)
 
 
-def _walk(config, arrays, step):
+def _walk(config, step):
     """Receding-horizon values over the whole battery grid, level block by
     level block.
 
@@ -575,25 +583,28 @@ def _walk(config, arrays, step):
     _GROUP_GAMES games. step(pt, pj, stage) takes a group's games with the
     block's send probabilities pt (levels, b_j, m) and jam probabilities
     pj (levels, b_j, 2k) and returns their values (depths, levels, b_j),
-    which go straight into horizon_values; it may fill pt and pj in place,
-    and the last group, the deepest, has the last word. A frame that ends
-    the game reads the levels below k, which stay zero.
+    which go straight into horizon_values; it writes the play it decides
+    into pt and pj, and the last group, the deepest, has the last word. A
+    frame that ends the game reads the levels below k, which stay zero.
 
     The transmitter cannot spend more than 2k gamma quanta within gamma
     frames, so where play does not depend on b_t the gamma-frame games at
     every b_t >= 2k gamma are those of b_t = 2k gamma: a block copies such
     depths from the level below it and steps through only the deeper ones.
     Where that covers the deployed depth as well, the block copies the
-    level below whole. Deeper lookaheads repeat the deployed depth.
+    level below whole. Deeper lookaheads repeat the deployed depth, so the
+    grid's deepest row holds the deployed values.
 
-    :param arrays: (t_probs, j_probs, values) of the returned table
+    :returns: the table of the arrays the walk allocates: horizon_values,
+        t_probs and j_probs, zero until written, with values a view of
+        horizon_values[-1]
     """
     k = config.k
     b_t0, b_j0 = config.b_t0, config.b_j0
     base = payoff_matrix(config.subgame)
     g_store = config.effective_horizon()
     horizon_values = np.zeros((g_store + 1, b_t0 + 1, b_j0 + 1))
-    t_probs, j_probs, values = arrays
+    t_probs, j_probs = (np.zeros((b_t0 + 1, b_j0 + 1, n)) for n in (k + 1, 2 * k))
     # one buffer for every group: at most _GROUP_GAMES games and a depth
     per_depth = k * (b_j0 + 1)
     buf = np.empty(min(_GROUP_GAMES + per_depth, g_store * per_depth) * (k + 1) * 2 * k)
@@ -618,8 +629,7 @@ def _walk(config, arrays, step):
             horizon_values[start + 1:stop + 1, lo:hi] = step(
                 t_probs[lo:hi, :, :m], j_probs[lo:hi], stage)
         horizon_values[depth + 1:, lo:hi] = horizon_values[depth, lo:hi]
-        values[lo:hi] = horizon_values[depth, lo:hi]
-    return StrategyTable(config, t_probs, j_probs, values, horizon_values)
+    return StrategyTable(config, t_probs, j_probs, horizon_values[-1], horizon_values)
 
 
 def _equilibrium(pt, pj, stage):
@@ -653,13 +663,16 @@ def solve_full_game(config):
     gives. Repeats lie within a depth, and a group holds over a chunk if
     its block does, so grouping changes neither results nor repeats found.
     """
-    return _walk(config, _table_arrays(config), _equilibrium)
+    return _walk(config, _equilibrium)
 
 
 def _best_response(pt, pj, stage):
-    """Values of the transmitter's best reply to the jam probabilities;
-    ties go to the fewest packets, which favours battery life. Marks the
-    reply at the group's deepest lookahead in pt."""
+    """Values of the transmitter's best reply to the dummy jammer, which
+    jams min(k + 1, 2k - 1, b_j) slots for sure: that play goes into pj
+    first. Ties go to the fewest packets, which favours battery life.
+    Marks the reply at the group's deepest lookahead in pt."""
+    b_j, k = np.arange(pj.shape[1]), pj.shape[2] // 2
+    pj[:, b_j, np.minimum(min(k + 1, 2 * k - 1), b_j)] = 1.0
     q = np.einsum('lbj,glbij->glbi', pj, stage)
     best = q.argmax(axis=3)                     # first max: lowest n_t
     pt[...] = 0.0
@@ -672,16 +685,13 @@ def solve_vs_fixed_jammer(config):
     min(k + 1, 2k - 1, b_j) slots at every state.
 
     The transmitter maximizes the same receding-horizon objective over the
-    walk of :func:`_walk` (:func:`_best_response`); ties break toward the
-    smallest packet count, which favours battery life. The jammer's play
-    does not depend on b_t, so the levels at b_t >= 2k gamma copy the
-    level below as in :func:`solve_full_game`.
+    walk of :func:`_walk`, whose step (:func:`_best_response`) writes the
+    dummy jammer's play into j_probs and the reply into t_probs; ties break
+    toward the smallest packet count, which favours battery life. The
+    jammer's play does not depend on b_t, so the levels at b_t >= 2k gamma
+    copy the level below as in :func:`solve_full_game`.
     """
-    k = config.k
-    t_probs, j_probs, values = _table_arrays(config)
-    b_j = np.arange(config.b_j0 + 1)
-    j_probs[k:, b_j, np.minimum(min(k + 1, 2 * k - 1), b_j)] = 1.0
-    return _walk(config, (t_probs, j_probs, values), _best_response)
+    return _walk(config, _best_response)
 
 
 # ---------------------------------------------------------------------------
@@ -873,10 +883,23 @@ def _record_count(config):
     return max(0, config.b_t0 - config.k + 1) * (config.b_j0 + 1)
 
 
-def _table_arrays(config, zeros=np.zeros):
-    """Zero (t_probs, j_probs, values) over a config's grid, by zeros(shape)."""
+def _table_arrays(config, path, size):
+    """Zero (t_probs, j_probs, values) over the grid of a config read from
+    the table file at path, of size bytes. The checksum does not cover the
+    config, so nothing is sized that the file cannot back: the arrays hold
+    at most one entry per byte of the file, and a grid with no playable
+    state, whose file lists no records, gets read-only views of one 0.0.
+
+    :raises TableError: when the grid holds more entries than size
+    """
     grid = (config.b_t0 + 1, config.b_j0 + 1)
-    return zeros((*grid, config.k + 1)), zeros((*grid, 2 * config.k)), zeros(grid)
+    shapes = ((*grid, config.k + 1), (*grid, 2 * config.k), grid)
+    if not _record_count(config):
+        return tuple(np.broadcast_to(0.0, shape) for shape in shapes)
+    if sum(map(math.prod, shapes)) > size:
+        raise TableError(f"{path}: its {size} bytes cannot fill a grid of {grid[0]} x "
+                         f"{grid[1]} states at k = {config.k}")
+    return tuple(map(np.zeros, shapes))
 
 
 def _pieces(fh):
@@ -906,7 +929,7 @@ def _read_layout(fh):
     # the first piece is the header, up to the states list's first '{'
     head, states, lead = next(pieces).rpartition('"states":')
     head += states
-    room = os.fstat(fh.fileno()).st_size - len(head.encode())
+    size = os.fstat(fh.fileno()).st_size
     try:
         # export_table's header closes with the states list
         config = GameConfig.from_dict(json.loads(head + "[]}")["config"])
@@ -914,9 +937,9 @@ def _read_layout(fh):
         return None
     # the checksum does not cover the config: size no arrays from it
     # unless the file has room for the '"b_t":' of as many records
-    if lead != "[{" or not 0 < 6 * _record_count(config) <= room:
+    if lead != "[{" or not 0 < 6 * _record_count(config) <= size - len(head.encode()):
         return None
-    arrays, digest = _table_arrays(config), _sha256(b"[{")
+    arrays, digest = _table_arrays(config, fh.name, size), _sha256(b"[{")
     for lo, hi, b_t, b_j in _io_blocks(config):
         first = next(pieces, "")
         if not first.startswith(b_t[0] + b_j[0]):
@@ -1030,6 +1053,7 @@ def load_table(path):
         if loaded is None:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
+                size = os.fstat(fh.fileno()).st_size
             digest = _text_digest(text)
             loaded = json.loads(text), None
             del text  # the parsed records take its place
@@ -1062,9 +1086,7 @@ def load_table(path):
         try:
             if len(states) != expected:
                 raise TableError(f"{path}: {len(states)} states, expected {expected}")
-            # no playable state: views of one 0.0, so the header sizes nothing
-            arrays = _table_arrays(config, np.zeros if expected else
-                                   lambda shape: np.broadcast_to(0.0, shape))
+            arrays = _table_arrays(config, path, size)
             if expected:
                 # one array per record field, checked and written whole
                 b_t, b_j, *records = ([rec[name] for rec in states] for name in (
@@ -1082,17 +1104,26 @@ def load_table(path):
                     raise TableError(f"{path}: wrong strategy length at ({b_t[i]}, {b_j[i]})")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TableError(f"{path}: malformed state record: {exc}") from None
-    t_probs, j_probs, values = arrays
-    # levels below k hold zeros; the rest are checked a block at a time,
-    # so no temporary spans the grid
-    per = max(1, _IO_STATES // (config.b_j0 + 1))
-    blocks = [slice(lo, lo + per) for lo in range(k, config.b_t0 + 1, per)]
-    for arr, label in ((values, "value"), (t_probs, "strat_t"), (j_probs, "strat_j")):
+    table = StrategyTable(config, *arrays, horizon_values=None, meta=doc.get("meta"))
+    fault = _row_fault(table)
+    if fault:
+        raise TableError(f"{path}: {fault}")
+    return table
+
+
+def _row_fault(table):
+    """What is wrong with a table's playable rows, or None: values and
+    strategies must be finite, and each strategy row a distribution (no
+    entry below 0, a sum within 1e-9 of 1). Levels below k hold zeros; the
+    rest are checked a block at a time, so no temporary spans the grid."""
+    per = max(1, _IO_STATES // (table.config.b_j0 + 1))
+    blocks = [slice(lo, lo + per) for lo in range(table.config.k, table.config.b_t0 + 1, per)]
+    strategies = ((table.t_probs, "strat_t"), (table.j_probs, "strat_j"))
+    for arr, label in ((table.values, "value"), *strategies):
         if not all(np.isfinite(arr[block]).all() for block in blocks):
-            raise TableError(f"{path}: {label} holds NaN or infinity")
-    for probs, label in ((t_probs, "strat_t"), (j_probs, "strat_j")):
+            return f"{label} holds NaN or infinity"
+    for probs, label in strategies:
         if any((probs[block] < 0.0).any() or (np.abs(probs[block].sum(axis=2) - 1.0) > 1e-9).any()
                for block in blocks):
-            raise TableError(f"{path}: {label} rows are not distributions")
-    return StrategyTable(config, t_probs, j_probs, values,
-                         horizon_values=None, meta=doc.get("meta"))
+            return f"{label} rows are not distributions"
+    return None

@@ -375,16 +375,30 @@ def test_mismatch_sweep_solves_each_distinct_game_once(tmp_path, monkeypatch):
         assert single.read_text().splitlines()[1:] == [lines[1], line], d
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError, reason="ROADMAP item 1")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
 @pytest.mark.parametrize("d_jr", ["29", "30"])
 def test_mismatch_exits_0_in_the_near_degenerate_band(tmp_path, d_jr):
-    # 28 and 31 m exit 0; between them the float simplex leaves strategy
-    # rows that miss 1, and the first-frame success rejects them
+    # the float simplex leaves strategy rows that miss 1, which the row
+    # check refuses as a solver error, exit code 5
     path = tmp_path / "small.json"
     path.write_text(json.dumps({"b_t0": 20, "b_j0": 20}))
     assert main(["mismatch", "--config", str(path), "--d-jr", d_jr,
                  "--solve-model", "uncoded", "--true-model", "uncoded",
                  "--out", str(tmp_path / "mm.csv")]) == 0
+
+
+@pytest.mark.parametrize("d_jr", ["29", "30"])
+def test_mismatch_in_the_near_degenerate_band_maps_to_an_exit_code(tmp_path, d_jr, capsys):
+    # the solved table's rows go through load_table's row check: rows that
+    # are not distributions are a solver error, not a ValueError traceback
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"b_t0": 20, "b_j0": 20}))
+    rc = main(["mismatch", "--config", str(path), "--d-jr", d_jr,
+               "--solve-model", "uncoded", "--true-model", "uncoded",
+               "--out", str(tmp_path / "mm.csv")])
+    assert rc in (0, 5)
+    if rc == 5:
+        assert f"d_jr={d_jr} m" in capsys.readouterr().err
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")

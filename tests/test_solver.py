@@ -425,6 +425,22 @@ def test_grids_hold_positive_zeros_below_k():
                 assert below.tobytes() == bytes(below.nbytes), cfg
 
 
+@pytest.mark.parametrize("solve", [solve_full_game, solve_vs_fixed_jammer])
+def test_solved_values_are_the_deepest_horizon_row(solve):
+    # the walk returns the grid's deepest lookahead as the deployed
+    # values, so a solved table holds them once; the dummy jammer's play
+    # is written by the step that plays it, one-hot at every playable level
+    for cfg in [*MEMO_CONFIGS, dataclasses.replace(MEMO_CONFIGS[0], k=3, b_t0=2)]:
+        table = solve(cfg)
+        assert np.shares_memory(table.values, table.horizon_values), cfg
+        assert table.values.tobytes() == table.horizon_values[-1].tobytes(), cfg
+        if solve is solve_vs_fixed_jammer:
+            k = cfg.k
+            want = np.zeros_like(table.j_probs)
+            want[k:] = np.eye(2 * k)[[min(k + 1, 2 * k - 1, b_j) for b_j in range(cfg.b_j0 + 1)]]
+            assert table.j_probs.tobytes() == want.tobytes(), cfg
+
+
 def test_build_payoff_matrix():
     cfg = GameConfig(k=2, b_t0=8, b_j0=6, alpha=0.4,
                      p_clear=0.1, p_blocked=0.7, horizon=3)
@@ -834,8 +850,9 @@ def test_solve_memory_does_not_grow_with_the_grid():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        # values is a view of horizon_values: it allocates nothing of its own
         peaks.append(peak - sum(getattr(table, name).nbytes for name in (
-            "horizon_values", "t_probs", "j_probs", "values")))
+            "horizon_values", "t_probs", "j_probs")))
     assert peaks[1] < 1.3 * peaks[0]
 
 
@@ -924,8 +941,8 @@ def test_best_response_memory_does_not_grow_with_the_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    peak -= sum(getattr(table, name).nbytes for name in (
-        "horizon_values", "t_probs", "j_probs", "values"))
+    # values is a view of horizon_values: it allocates nothing of its own
+    peak -= sum(getattr(table, name).nbytes for name in ("horizon_values", "t_probs", "j_probs"))
     assert peak <= 8 * 2 ** 20
 
 
@@ -1135,6 +1152,25 @@ def test_load_sizes_nothing_from_a_table_without_records(tmp_path, field):
         # a corner of at most 3 entries per axis: the whole is 10^9 wide
         corner = got[tuple(slice(3) for _ in got.shape)]
         assert (corner == 0.0).all() and not np.signbit(corner).any()
+
+
+@pytest.mark.parametrize("indent", [None, 1])
+def test_load_refuses_a_grid_its_records_cannot_fill(tmp_path, indent):
+    # a header of k = b_t0 = 10^9 and b_j0 = 0 lists one legal record
+    # under a correct checksum, yet its arrays would hold 3 x 10^18
+    # entries: a grid of more entries than the file has bytes is a table
+    # error, from the piece reader as from the whole-document reader
+    config = GameConfig(k=10 ** 9, b_t0=10 ** 9, b_j0=0, alpha=0.4, p_clear=0.1, p_blocked=0.7)
+    states = [{"b_t": 10 ** 9, "b_j": 0, "strat_t": [1.0], "strat_j": [1.0], "value": 0.0}]
+    doc = _resum({"format": "uwjam-strategy-table", "version": 1, "config": config.to_dict(),
+                  "checksum": None, "states": states})
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc, separators=(",", ":"), indent=indent) + "\n")
+    if indent is None:
+        with open(path, "rb") as fh, pytest.raises(TableError, match="cannot fill"):
+            uwjam.solver._read_layout(fh)
+    with pytest.raises(TableError, match="bytes cannot fill a grid of 1000000001 x 1 states"):
+        load_table(path)
 
 
 def test_load_ignores_record_order(tmp_path, small_game):
