@@ -239,11 +239,6 @@ def _resolve_seed(args):
     return args.seed
 
 
-def _check_runs(runs):
-    if runs < 1:
-        raise ConfigError(f"--runs must be at least 1, got {runs}")
-
-
 def _gamma_label(cfg):
     return "inf" if math.isinf(cfg.horizon) else int(cfg.horizon)
 
@@ -337,45 +332,38 @@ def _cmd_solve(args):
     return 0
 
 
-def _cmd_evaluate(args):
-    cfg = _load_scenario(args)
+def _score(args, cfg, paths, score):
+    """Report rows of every result of score(table), table by table, each
+    checked against the scenario first and dropped before the next
+    loads; written sorted by distance (a stable sort)."""
     rows = []
-    for path in args.table:
+    for path in paths:
         table = solver.load_table(path)
         d_jr, mode = _verify_table(table, cfg)
-        rows.append(_report_row(cfg, d_jr, analysis.analyze(table), mode, mode))
+        rows += [_report_row(cfg, d_jr, result, mode, mode) for result in score(table)]
         del table  # scored: the next load holds no earlier table
     rows.sort(key=lambda row: row["distance_m"])
     _write_csv(args.out, REPORT_COLUMNS, rows, cfg)
     return 0
 
 
-def _cmd_simulate(args):
-    _check_runs(args.runs)
-    cfg = _load_scenario(args)
-    seed = _resolve_seed(args)
-    table = solver.load_table(args.table)
-    d_jr, mode = _verify_table(table, cfg)
-    result = analysis.simulate(table, args.runs, seed=seed)
-    _write_csv(args.out, REPORT_COLUMNS, [_report_row(cfg, d_jr, result, mode, mode)], cfg)
-    return 0
+def _cmd_evaluate(args):
+    return _score(args, _load_scenario(args), args.table,
+                  lambda table: [analysis.analyze(table)])
 
 
 def _cmd_sensitivity(args):
-    _check_runs(args.runs)
+    if args.runs < 1:
+        raise ConfigError(f"--runs must be at least 1, got {args.runs}")
     sigmas = tuple(args.sigma) if args.sigma else SensitivitySpec().sigmas
     for sigma in sigmas:
         if not (math.isfinite(sigma) and sigma >= 0.0):
             raise ConfigError(f"--sigma must be a finite nonnegative number, got {sigma}")
     cfg = _load_scenario(args)
     seed = _resolve_seed(args)
-    table = solver.load_table(args.table)
-    d_jr, mode = _verify_table(table, cfg)
     spec = SensitivitySpec(sigmas=sigmas, runs=args.runs)
-    rows = [_report_row(cfg, d_jr, result, mode, mode)
-            for result in analysis.sensitivity_sweep(table, spec, seed=seed)]
-    _write_csv(args.out, REPORT_COLUMNS, rows, cfg)
-    return 0
+    return _score(args, cfg, [args.table],
+                  lambda table: analysis.sensitivity_sweep(table, spec, seed=seed))
 
 
 def _cmd_mismatch(args):
@@ -481,7 +469,8 @@ def _build_parser():
 
     p = sub.add_parser("simulate", help="Monte Carlo replay of a table")
     common(p, "per_mode", "alpha", seed=True, table=True)
-    p.set_defaults(func=_cmd_simulate)
+    # the sensitivity sweep at sigma = 0 alone (a float: the column reads 0.0)
+    p.set_defaults(func=_cmd_sensitivity, sigma=[0.0])
 
     p = sub.add_parser("sensitivity", help="PER-perturbation sweep")
     common(p, "per_mode", "alpha", seed=True, table=True)

@@ -323,6 +323,16 @@ def test_sensitivity(tmp_path, scenario, tables_dir):
     assert rows[0]["lifetime"] == rows[1]["lifetime"]
 
 
+def test_simulate_is_the_sensitivity_sweep_at_sigma_0(tmp_path, scenario, tables_dir):
+    # 1,500 runs span two Monte Carlo chunks
+    common = ["--config", scenario, "--table", str(tables_dir / "table_djr50m.json"),
+              "--runs", "1500", "--seed", "7"]
+    simulated, swept = tmp_path / "sim.csv", tmp_path / "sens.csv"
+    assert main(["simulate", *common, "--out", str(simulated)]) == 0
+    assert main(["sensitivity", *common, "--sigma", "0", "--out", str(swept)]) == 0
+    assert simulated.read_bytes() == swept.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # mismatch
 
