@@ -341,7 +341,8 @@ class RsCode:
             raise ValueError("symbol size must be positive")
         if not 0 < self.k < self.n:
             raise ValueError("need 0 < k < n")
-        if self.n > 2 ** self.sym_bits - 1:
+        # n > 2^sym_bits - 1, without raising 2 to a huge sym_bits
+        if self.n.bit_length() > self.sym_bits:
             raise ValueError("codeword length exceeds field size")
 
     @property
@@ -380,8 +381,6 @@ def per_coded(p_bit, code):
                  - math.lgamma(code.n - i + 1))
         terms.append(log_c + i * log_p + (code.n - i) * log_q)
     peak = max(terms)
-    if peak == -math.inf:
-        return 0.0
     acc = sum(math.exp(t - peak) for t in terms)
     return min(1.0, math.exp(peak) * acc)
 

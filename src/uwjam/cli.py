@@ -50,32 +50,34 @@ class ScenarioConfig:
     """Everything needed to build and evaluate games, with the default
     values of the reference scenario (26 kHz carrier, 16 kHz bandwidth,
     1 kbit/s, 64-byte packets, 180 dB re uPa sources, 78 m link, frames
-    of 8 slots, 200-quanta batteries)."""
+    of 8 slots, 200-quanta batteries). The fields it shares with
+    AcousticEnvironment, TxParams, RsCode (prefixed rs_) and GameConfig
+    take those classes' defaults and build them by field name."""
 
-    frequency_khz: float = 26.0
-    bandwidth_hz: float = 16000.0
-    spreading_exp: float = 1.75
-    shipping: float = 1.0
-    wind_speed: float = 3.0
-    power_t_db: float = 180.0
-    power_j_db: float = 180.0
-    packet_bits: int = 512
-    bit_rate: float = 1000.0
+    frequency_khz: float = AcousticEnvironment.frequency_khz
+    bandwidth_hz: float = AcousticEnvironment.bandwidth_hz
+    spreading_exp: float = AcousticEnvironment.spreading_exp
+    shipping: float = AcousticEnvironment.shipping
+    wind_speed: float = AcousticEnvironment.wind_speed
+    power_t_db: float = TxParams.power_t_db
+    power_j_db: float = TxParams.power_j_db
+    packet_bits: int = TxParams.packet_bits
+    bit_rate: float = TxParams.bit_rate
     d_tr: float = 78.0
     d_jr: float = None
     sweep: tuple = DEFAULT_SWEEP
     per_mode: str = "uncoded"
-    rs_n: int = 127
-    rs_k: int = 78
-    rs_sym_bits: int = 7
+    rs_n: int = RsCode.n
+    rs_k: int = RsCode.k
+    rs_sym_bits: int = RsCode.sym_bits
     empirical_path: str = None
     empirical_per_clear: float = 0.04
     k: int = 4
     b_t0: int = 200
     b_j0: int = 200
     alpha: float = 0.4
-    horizon: float = 30
-    discount: float = 1.0
+    horizon: float = GameConfig.horizon
+    discount: float = GameConfig.discount
 
     def __post_init__(self):
         _check_field_types(self)
@@ -114,14 +116,10 @@ class ScenarioConfig:
             raise ConfigError(f"bad scenario config: {exc}") from None
 
     def to_dict(self):
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "sweep":
-                v = list(v)
-            elif f.name == "horizon" and v == math.inf:
-                v = "inf"
-            out[f.name] = v
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["sweep"] = list(self.sweep)
+        if self.horizon == math.inf:
+            out["horizon"] = "inf"
         return out
 
     def replace(self, **kwargs):
@@ -129,21 +127,11 @@ class ScenarioConfig:
         merged.update(kwargs)
         return ScenarioConfig.from_dict(merged)
 
-    @property
-    def environment(self):
-        return AcousticEnvironment(
-            frequency_khz=self.frequency_khz, bandwidth_hz=self.bandwidth_hz,
-            spreading_exp=self.spreading_exp, shipping=self.shipping,
-            wind_speed=self.wind_speed)
-
-    @property
-    def tx_params(self):
-        return TxParams(power_t_db=self.power_t_db, power_j_db=self.power_j_db,
-                        packet_bits=self.packet_bits, bit_rate=self.bit_rate)
-
-    @property
-    def rs_code(self):
-        return RsCode(n=self.rs_n, k=self.rs_k, sym_bits=self.rs_sym_bits)
+    def _build(self, cls, prefix="", **given):
+        """A cls dataclass whose fields not given take the values of this
+        scenario's fields of the same names after prefix."""
+        return cls(**{f.name: getattr(self, prefix + f.name)
+                      for f in fields(cls) if f.name not in given}, **given)
 
     def empirical_table(self):
         if self.empirical_path is None:
@@ -160,18 +148,19 @@ def resolve_error_model(cfg, d_jr, mode=None):
     table = cfg.empirical_table() if mode == "empirical" else None
     try:
         return error_model_for_distance(
-            d_jr, cfg.d_tr, cfg.environment, cfg.tx_params,
-            mode=mode, code=cfg.rs_code, table=table)
+            d_jr, cfg.d_tr, cfg._build(AcousticEnvironment), cfg._build(TxParams),
+            mode=mode, code=cfg._build(RsCode, "rs_"), table=table)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    except ArithmeticError as exc:
+        raise ConfigError(f"the channel parameters overflow the PER model at "
+                          f"d_jr = {d_jr:g} m: {exc!r}") from None
 
 
 def game_config_for(cfg, d_jr, mode=None):
     """GameConfig for one jammer distance."""
     p_clear, p_blocked = resolve_error_model(cfg, d_jr, mode)
-    return GameConfig(k=cfg.k, b_t0=cfg.b_t0, b_j0=cfg.b_j0, alpha=cfg.alpha,
-                      p_clear=p_clear, p_blocked=p_blocked,
-                      horizon=cfg.horizon, discount=cfg.discount)
+    return cfg._build(GameConfig, p_clear=p_clear, p_blocked=p_blocked)
 
 
 def _games(cfg, distances, mode=None):
@@ -240,7 +229,7 @@ def _resolve_seed(args):
 
 
 def _gamma_label(cfg):
-    return "inf" if math.isinf(cfg.horizon) else int(cfg.horizon)
+    return "inf" if cfg.horizon == math.inf else int(cfg.horizon)
 
 
 def _report_row(cfg, d_jr, result, solve_model, true_model):
@@ -266,8 +255,9 @@ def _verify_table(table, cfg):
         raise TableError("table carries no jammer distance metadata; "
                          "re-export it with the solve command")
     d_jr = meta["d_jr"]
+    # an integer past the float range fails this without converting
     if (isinstance(d_jr, bool) or not isinstance(d_jr, (int, float))
-            or not math.isfinite(d_jr) or d_jr <= 0):
+            or not 0 < d_jr < sys.float_info.max):
         raise TableError(f"table metadata d_jr must be a positive distance, got {d_jr!r}")
     mode = meta.get("per_mode", cfg.per_mode)
     if mode not in PER_MODES:

@@ -171,29 +171,20 @@ class GameConfig:
         """Stored lookahead depth: values are gamma-stationary once gamma
         exceeds the maximum number of frames the game can still last."""
         depth = self.b_t0 // self.k
-        if math.isinf(self.horizon):
+        if self.horizon == math.inf:
             return depth
         return min(int(self.horizon), depth)
 
     def to_dict(self):
-        return {
-            "k": self.k,
-            "b_t0": self.b_t0,
-            "b_j0": self.b_j0,
-            "alpha": self.alpha,
-            "p_clear": self.p_clear,
-            "p_blocked": self.p_blocked,
-            "horizon": "inf" if math.isinf(self.horizon) else int(self.horizon),
-            "discount": self.discount,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["horizon"] = "inf" if self.horizon == math.inf else int(self.horizon)
+        return out
 
     @classmethod
     def from_dict(cls, data):
         data = dict(data)
-        horizon = data.get("horizon", 30)
-        if horizon == "inf":
-            horizon = math.inf
-        data["horizon"] = horizon
+        if data.get("horizon") == "inf":
+            data["horizon"] = math.inf
         try:
             return cls(**data)
         except TypeError as exc:
@@ -601,13 +592,19 @@ def _walk(config, step):
     """
     k = config.k
     b_t0, b_j0 = config.b_t0, config.b_j0
-    base = payoff_matrix(config.subgame)
     g_store = config.effective_horizon()
-    horizon_values = np.zeros((g_store + 1, b_t0 + 1, b_j0 + 1))
-    t_probs, j_probs = (np.zeros((b_t0 + 1, b_j0 + 1, n)) for n in (k + 1, 2 * k))
     # one buffer for every group: at most _GROUP_GAMES games and a depth
     per_depth = k * (b_j0 + 1)
-    buf = np.empty(min(_GROUP_GAMES + per_depth, g_store * per_depth) * (k + 1) * 2 * k)
+    try:
+        base = payoff_matrix(config.subgame)
+        horizon_values = np.zeros((g_store + 1, b_t0 + 1, b_j0 + 1))
+        t_probs, j_probs = (np.zeros((b_t0 + 1, b_j0 + 1, n)) for n in (k + 1, 2 * k))
+        buf = np.empty(min(_GROUP_GAMES + per_depth, g_store * per_depth) * (k + 1) * 2 * k)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        # numpy refuses a shape past its index range, and may not find
+        # the memory for one within it
+        raise ConfigError(f"cannot allocate the grid of {b_t0 + 1} x {b_j0 + 1} battery "
+                          f"states at k = {k}: {exc}") from None
     for lo, hi, m, succ_bt in _levels(k, b_t0):
         depth = min(g_store, lo // k)
         # depths 1 .. low are capped at level lo - 1 already

@@ -293,6 +293,15 @@ def test_per_uncoded_validation():
         per_uncoded(0.1, 0)
 
 
+class _NoPowerOfTwo(int):
+    """A symbol size that refuses to be an exponent or a shift."""
+
+    def __rpow__(self, base):
+        raise AssertionError("2 ** sym_bits computed")
+
+    __rlshift__ = __rpow__
+
+
 def test_rs_code_properties():
     code = RsCode()
     assert (code.n, code.k, code.sym_bits) == (127, 78, 7)
@@ -303,6 +312,14 @@ def test_rs_code_properties():
         RsCode(n=127, k=127, sym_bits=7)
     with pytest.raises(ValueError):
         RsCode(n=127, k=0, sym_bits=7)
+    # n = 2^s - 1 fills GF(2^s) and n = 2^s exceeds it
+    for s in range(2, 66):
+        assert RsCode(n=2 ** s - 1, k=1, sym_bits=s).n == 2 ** s - 1
+        with pytest.raises(ValueError):
+            RsCode(n=2 ** s, k=1, sym_bits=s)
+    # a scenario's sym_bits of 10^20 would make 2^sym_bits a number of
+    # 10^20 bits, and fill the memory before failing
+    assert RsCode(sym_bits=_NoPowerOfTwo(10 ** 20)).t == 24
 
 
 # Monte Carlo oracle: 1e6 binomial trials of symbol errors, seed 20260817

@@ -1,19 +1,26 @@
 """End-to-end command line runs, in process via main(argv)."""
 
+import ast
 import csv
+import dataclasses
+import inspect
 import io
 import json
 import math
 import os
+import re
 import weakref
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import uwjam.solver
-from uwjam.cli import (DEFAULT_SWEEP, REPORT_COLUMNS, ScenarioConfig, _write_csv, main,
-                       resolve_error_model)
+from uwjam.channel import AcousticEnvironment, RsCode, TxParams
+from uwjam.cli import (DEFAULT_SWEEP, REPORT_COLUMNS, ScenarioConfig, _write_csv,
+                       game_config_for, main, resolve_error_model)
 from uwjam.errors import ConfigError
-from uwjam.solver import export_table, load_table
+from uwjam.solver import GameConfig, export_table, load_table
 
 
 SMALL_SCENARIO = {
@@ -484,7 +491,7 @@ def test_exit_codes(tmp_path, scenario, tables_dir):
     # meta sits outside the checksum; a bad one is a table fault
     table = load_table(tables_dir / "table_djr50m.json")
     for meta in ({"d_jr": "sixty"}, {"d_jr": -5}, {"d_jr": True}, {"d_jr": float("nan")},
-                 {"d_jr": 50.0, "per_mode": "psychic"}, ["d_jr"]):
+                 {"d_jr": 10 ** 400}, {"d_jr": 50.0, "per_mode": "psychic"}, ["d_jr"]):
         bad_meta = tmp_path / "bad_meta.json"
         export_table(table, bad_meta, meta=meta)
         assert main(["evaluate", "--config", scenario, "--table", str(bad_meta)]) == 4, meta
@@ -549,3 +556,196 @@ def test_scenario_fields_must_have_their_types(tmp_path, edit):
 def test_scenario_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict({"granularity": 5})
+
+
+# ---------------------------------------------------------------------------
+# the reference scenario, declared once
+
+def test_shared_defaults_are_declared_by_the_model_classes():
+    # the model classes whose fields the scenario shares, with its prefix
+    models = ((AcousticEnvironment, ""), (TxParams, ""), (RsCode, "rs_"), (GameConfig, ""))
+    shared = {prefix + f.name: (cls, f.name) for cls, prefix in models
+              for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+    assert len(shared) == 14
+    defaults = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
+    # each shared default is the model class's attribute, not a literal
+    source = ast.parse(inspect.getsource(ScenarioConfig))
+    declared = {node.target.id: node.value for node in source.body[0].body
+                if isinstance(node, ast.AnnAssign)}
+    for name, (cls, field) in shared.items():
+        assert defaults[name] == getattr(cls, field), name
+        assert ast.unparse(declared[name]) == f"{cls.__name__}.{field}", name
+
+
+def test_scenario_builds_its_model_objects_by_field_name():
+    cfg = ScenarioConfig()
+    assert cfg._build(AcousticEnvironment) == AcousticEnvironment()
+    assert cfg._build(TxParams) == TxParams()
+    assert cfg._build(RsCode, "rs_") == RsCode()
+    cfg = ScenarioConfig(wind_speed=5.0, bit_rate=2000.0, rs_n=63, rs_k=31, rs_sym_bits=6,
+                         k=3, b_t0=30, b_j0=24, alpha=0.2, horizon=7, discount=0.9)
+    assert cfg._build(AcousticEnvironment) == AcousticEnvironment(wind_speed=5.0)
+    assert cfg._build(TxParams) == TxParams(bit_rate=2000.0)
+    assert cfg._build(RsCode, "rs_") == RsCode(n=63, k=31, sym_bits=6)
+    p_clear, p_blocked = resolve_error_model(cfg, 60.0)
+    assert game_config_for(cfg, 60.0) == GameConfig(
+        k=3, b_t0=30, b_j0=24, alpha=0.2, p_clear=p_clear, p_blocked=p_blocked,
+        horizon=7, discount=0.9)
+
+
+# ---------------------------------------------------------------------------
+# inputs past the model's arithmetic or numpy's array sizes
+
+
+@pytest.mark.parametrize("edit", [
+    {"spreading_exp": 400}, {"spreading_exp": -1e308}, {"power_t_db": 1e300},
+    {"power_j_db": 1e300}, {"frequency_khz": 1e300}, {"wind_speed": 1e300}, {"d_tr": 1e300},
+])
+@pytest.mark.parametrize("command", ["per-sweep", "solve", "evaluate", "simulate", "mismatch"])
+def test_channel_overflow_exits_2(tmp_path, tables_dir, edit, command, capsys):
+    # the PER model overflows, or divides by a zero it underflowed to
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**SMALL_SCENARIO, **edit}))
+    table = str(tables_dir / "table_djr50m.json")
+    argv = {"per-sweep": [],
+            "solve": ["--d-jr", "60", "--out", str(tmp_path / "table.json")],
+            "evaluate": ["--table", table],
+            "simulate": ["--table", table, "--runs", "5", "--seed", "1"],
+            "mismatch": ["--solve-model", "uncoded", "--true-model", "uncoded"]}[command]
+    assert main([command, "--config", str(path), *argv]) == 2
+    assert "overflow the PER model" in capsys.readouterr().err
+    assert not (tmp_path / "table.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--d-jr", "1e300", "--out", "table.json"],
+    ["mismatch", "--d-jr", "1e300", "--solve-model", "dummy", "--true-model", "uncoded"],
+    ["per-sweep", "--config", "far.json"],
+    ["solve", "--config", "far.json", "--sweep", "--out-dir", "tables"],
+    ["mismatch", "--config", "far.json", "--solve-model", "uncoded", "--true-model", "coded"],
+])
+def test_overflowing_jammer_distance_exits_2(tmp_path, monkeypatch, argv, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "far.json").write_text(json.dumps({**SMALL_SCENARIO, "sweep": [1e300]}))
+    assert main(argv) == 2
+    assert "overflow the PER model at d_jr = 1e+300 m" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["far.json"]
+
+
+@pytest.mark.parametrize("edit, argv", [
+    ({"b_t0": 10 ** 20}, ["solve", "--d-jr", "60", "--out", "table.json"]),
+    ({"k": 10 ** 20}, ["solve", "--d-jr", "60", "--out", "table.json"]),
+    ({"b_j0": 10 ** 20}, ["mismatch", "--d-jr", "60", "--solve-model", "dummy",
+                          "--true-model", "uncoded"]),
+])
+def test_grid_numpy_cannot_size_exits_2(tmp_path, monkeypatch, edit, argv, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.json").write_text(json.dumps(edit))
+    assert main([*argv, "--config", "huge.json"]) == 2
+    assert "cannot allocate the grid of" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["huge.json"]
+
+
+def test_integer_horizon_past_the_float_range(tmp_path, capsys):
+    # every gamma past the game's length deploys the same strategies
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**SMALL_SCENARIO, "horizon": 10 ** 400}))
+    table = str(tmp_path / "table.json")
+    assert main(["solve", "--config", str(path), "--d-jr", "50", "--out", table]) == 0
+    assert load_table(table).config.effective_horizon() == 6
+    assert main(["inspect-table", "--table", table]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(path), "--table", table]) == 0
+    _, _, rows = _read_csv(capsys.readouterr().out)
+    assert rows[0]["gamma"] == str(10 ** 400)
+
+
+def test_grid_without_the_memory_exits_2(tmp_path, scenario, monkeypatch, capsys):
+    def no_memory(shape, *args, **kwargs):
+        raise MemoryError(f"Unable to allocate an array of shape {shape}")
+
+    monkeypatch.setattr(np, "zeros", no_memory)
+    out = tmp_path / "table.json"
+    assert main(["solve", "--config", scenario, "--d-jr", "60", "--out", str(out)]) == 2
+    assert "cannot allocate the grid of 13 x 9 battery states at k = 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# mutation fuzz: every mutated input maps to a documented exit code
+
+FUZZ_SCENARIO = {"k": 2, "b_t0": 12, "b_j0": 12, "horizon": 2, "d_jr": 60.0,
+                 "sweep": [40.0, 60.0]}
+FUZZ_TEXT = json.dumps(FUZZ_SCENARIO)
+# what a mutation writes: huge, negative, zero, fractional, bool, string,
+# null and overflowing values, an integer past the float range among
+# them, but no battery or k from 10^4 to 10^19, whose grids numpy can
+# allocate but a solve takes minutes over
+FUZZ_VALUES = (10 ** 20, -1, 0, 1, 2.5, True, "7", None, "inf", 1e300, -1e308, 400.0,
+               10 ** 400)
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+_ANY = st.integers(0, 1 << 20)
+
+_SCENARIO_TEXTS = st.one_of(
+    st.builds(lambda key, value: json.dumps({**FUZZ_SCENARIO, key: value}),
+              st.sampled_from([f.name for f in dataclasses.fields(ScenarioConfig)]),
+              st.sampled_from(FUZZ_VALUES)),
+    st.builds(lambda key: json.dumps({k: v for k, v in FUZZ_SCENARIO.items() if k != key}),
+              st.sampled_from(sorted(FUZZ_SCENARIO))),
+    st.builds(lambda n: FUZZ_TEXT[:n], st.integers(0, len(FUZZ_TEXT) - 1)))
+_TABLE_EDITS = st.one_of(st.tuples(st.just("flip"), _ANY, st.integers(0, 7)),
+                         st.tuples(st.just("truncate"), _ANY),
+                         st.tuples(st.just("number"), _ANY, st.sampled_from(FUZZ_VALUES)))
+
+
+def _edit_table(data, edit):
+    """The exported table's bytes with a bit flipped, cut short, or one
+    number replaced, the position taken modulo what there is."""
+    op, at, *arg = edit
+    if op == "number":
+        spans = [m.span() for m in _NUMBER.finditer(data.decode())]
+        lo, hi = spans[at % len(spans)]
+        return data[:lo] + json.dumps(arg[0]).encode() + data[hi:]
+    at %= len(data)
+    if op == "truncate":
+        return data[:at]
+    return data[:at] + bytes([data[at] ^ 1 << arg[0]]) + data[at + 1:]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz")
+    (out / "scenario.json").write_text(FUZZ_TEXT)
+    assert main(["solve", "--config", str(out / "scenario.json"),
+                 "--out", str(out / "table.json")]) == 0
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(st.tuples(st.just("scenario"), _SCENARIO_TEXTS),
+                      st.tuples(st.just("table"), _TABLE_EDITS)))
+@example(case=("scenario", FUZZ_TEXT))
+@example(case=("scenario", json.dumps({**FUZZ_SCENARIO, "spreading_exp": 400.0})))
+@example(case=("scenario", json.dumps({**FUZZ_SCENARIO, "b_j0": 10 ** 20})))
+def test_mutated_inputs_map_to_an_exit_code(fuzz_dir, case):
+    scenario, table = fuzz_dir / "scenario.json", fuzz_dir / "table.json"
+    kind, edit = case
+    mutated = fuzz_dir / "mutated.json"
+    out = ["--out", str(fuzz_dir / "out.csv")]
+    if kind == "scenario":
+        mutated.write_text(edit)
+        scenario = mutated
+        commands = [["per-sweep", *out], ["solve", "--out", str(fuzz_dir / "solved.json")]]
+    else:
+        mutated.write_bytes(_edit_table(table.read_bytes(), edit))
+        table = mutated
+        commands = [["inspect-table", "--table", str(table)]]
+    commands += [["evaluate", "--table", str(table), *out],
+                 ["simulate", "--table", str(table), "--runs", "8", "--seed", "1", *out]]
+    for argv in commands:
+        if argv[0] != "inspect-table":
+            argv += ["--config", str(scenario)]
+        rc = main(argv)
+        assert rc in {0, 2, 3, 4, 5}, argv
+        if kind == "scenario" and edit == FUZZ_TEXT:
+            assert rc == 0, argv

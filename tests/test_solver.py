@@ -298,6 +298,14 @@ def test_config_dict_round_trip():
     assert GameConfig.from_dict(d) == inf_cfg
     with pytest.raises(ConfigError):
         GameConfig.from_dict(dict(d, surprise=1))
+    # every field in declaration order, the horizon an int or "inf", and a
+    # missing horizon takes the field's default
+    cfg = GameConfig(k=3, b_t0=30, b_j0=24, alpha=0.2, p_clear=0.01, p_blocked=0.93)
+    d = cfg.to_dict()
+    assert list(d) == [f.name for f in dataclasses.fields(GameConfig)]
+    assert d == dataclasses.asdict(cfg) and type(d["horizon"]) is int
+    del d["horizon"]
+    assert GameConfig.from_dict(d) == cfg
 
 
 def test_mixed_strategy():
